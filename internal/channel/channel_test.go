@@ -391,3 +391,53 @@ func TestWallJitterChangesSNR(t *testing.T) {
 		t.Fatalf("3 dB wall change moved SNR by %v dB", lost)
 	}
 }
+
+// ChannelPair must reproduce two Channel calls bit for bit, through walls,
+// reflectors and scatterers, and for a zero-coefficient (open-circuit) or
+// absent tag state as well as the usual 0°/180° pair.
+func TestChannelPairMatchesChannel(t *testing.T) {
+	e := NewEnvironment(11)
+	e.AddWall(Point{5, -4}, Point{5, 4}, 6, "drywall")
+	e.AddWall(Point{-2, 2}, Point{10, 2}, 12, "brick")
+	e.AddReflector(Point{4, 3.5}, 60)
+	e.AddReflector(Point{4, -3.5}, 60)
+	e.AddScatterers(6, 0, -3, 8, 3, 15, 1.0)
+	e.Advance(0.05)
+	tx, rx := Point{0, 0}, Point{8, 0}
+	tagAt := Point{2, 0.3}
+	states := []*TagReflection{
+		{Pos: tagAt, Coeff: 68, ExcessPathM: 7.5},
+		{Pos: tagAt, Coeff: -68, ExcessPathM: 7.5},
+		{Pos: tagAt, Coeff: 0, ExcessPathM: 7.5},
+		{Pos: Point{6, 1}, Coeff: complex(20, -30)},
+		nil,
+	}
+	for i, a := range states {
+		for j, b := range states {
+			hA, hB, err := e.ChannelPair(tx, rx, a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantA, err := e.Channel(tx, rx, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantB, err := e.Channel(tx, rx, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(hA) != len(wantA) || len(hB) != len(wantB) {
+				t.Fatalf("states %d/%d: lengths %d/%d, want %d/%d", i, j, len(hA), len(hB), len(wantA), len(wantB))
+			}
+			for k := range wantA {
+				if hA[k] != wantA[k] || hB[k] != wantB[k] {
+					t.Fatalf("states %d/%d subcarrier %d: pair (%v, %v), Channel (%v, %v)",
+						i, j, k, hA[k], hB[k], wantA[k], wantB[k])
+				}
+			}
+		}
+	}
+	if _, _, err := e.ChannelPair(tx, tx, states[0], states[1]); err == nil {
+		t.Fatal("co-located endpoints accepted")
+	}
+}

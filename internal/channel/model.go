@@ -125,65 +125,114 @@ func (e *Environment) pathPhase(d float64, k int) float64 {
 // Channel returns the per-used-subcarrier complex gain from tx to rx with
 // the tag in the given state (nil tag = absent or open-circuited).
 func (e *Environment) Channel(tx, rx Point, tag *TagReflection) ([]complex128, error) {
-	if e.NumSubcarriers <= 0 {
-		return nil, fmt.Errorf("channel: environment has %d subcarriers", e.NumSubcarriers)
-	}
-	if tx == rx {
-		return nil, fmt.Errorf("channel: tx and rx are co-located at %v", tx)
+	if err := e.checkLink(tx, rx); err != nil {
+		return nil, err
 	}
 	h := make([]complex128, e.NumSubcarriers)
-
-	add := func(amp, dist, extraPhase float64) {
-		for k := range h {
-			h[k] += complex(amp, 0) * cmplx.Exp(complex(0, e.pathPhase(dist, k)+extraPhase))
-		}
+	if err := e.addStatic(h, tx, rx); err != nil {
+		return nil, err
 	}
+	if err := e.addTag(h, tx, rx, tag); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
 
+// ChannelPair returns Channel(tx, rx, tagA) and Channel(tx, rx, tagB),
+// bit-identical to the two calls, while summing the direct path,
+// reflectors and scatterers only once: each tag state's term is added last
+// to its own copy of that shared sum, which is the order Channel adds it.
+func (e *Environment) ChannelPair(tx, rx Point, tagA, tagB *TagReflection) ([]complex128, []complex128, error) {
+	if err := e.checkLink(tx, rx); err != nil {
+		return nil, nil, err
+	}
+	n := e.NumSubcarriers
+	buf := make([]complex128, 2*n)
+	hA, hB := buf[:n:n], buf[n:]
+	if err := e.addStatic(hA, tx, rx); err != nil {
+		return nil, nil, err
+	}
+	copy(hB, hA)
+	if err := e.addTag(hA, tx, rx, tagA); err != nil {
+		return nil, nil, err
+	}
+	if err := e.addTag(hB, tx, rx, tagB); err != nil {
+		return nil, nil, err
+	}
+	return hA, hB, nil
+}
+
+func (e *Environment) checkLink(tx, rx Point) error {
+	if e.NumSubcarriers <= 0 {
+		return fmt.Errorf("channel: environment has %d subcarriers", e.NumSubcarriers)
+	}
+	if tx == rx {
+		return fmt.Errorf("channel: tx and rx are co-located at %v", tx)
+	}
+	return nil
+}
+
+// addPath adds one propagation path of amplitude amp and length dist to h.
+func (e *Environment) addPath(h []complex128, amp, dist, extraPhase float64) {
+	for k := range h {
+		h[k] += complex(amp, 0) * cmplx.Exp(complex(0, e.pathPhase(dist, k)+extraPhase))
+	}
+}
+
+// addStatic adds every path except the tag's to h: the direct path, then
+// the static reflectors, then the moving scatterers.
+func (e *Environment) addStatic(h []complex128, tx, rx Point) error {
 	// Direct path.
 	d := tx.Dist(rx)
 	amp, err := FriisAmplitude(d, e.FreqHz, e.PathLossExp)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	amp *= DbToAmplitude(-PathAttenuationDb(e.Walls, tx, rx))
-	add(amp, d, 0)
+	e.addPath(h, amp, d, 0)
 
 	// Static reflectors and moving scatterers: two-hop bounce paths.
-	bounce := func(p Point, gain float64) error {
-		ds, dr := tx.Dist(p), p.Dist(rx)
-		if ds <= 0 || dr <= 0 {
-			return nil // co-located with an endpoint: ignore
-		}
-		a, err := BackscatterAmplitude(ds, dr, e.FreqHz, gain)
-		if err != nil {
-			return err
-		}
-		a *= DbToAmplitude(-PathAttenuationDb(e.Walls, tx, p) - PathAttenuationDb(e.Walls, p, rx))
-		add(a, ds+dr, 0)
-		return nil
-	}
 	for _, r := range e.Reflectors {
-		if err := bounce(r.Pos, r.Gain); err != nil {
-			return nil, err
+		if err := e.addBounce(h, tx, rx, r.Pos, r.Gain); err != nil {
+			return err
 		}
 	}
 	for _, s := range e.Scatterers {
-		if err := bounce(s.Pos, s.Gain); err != nil {
-			return nil, err
+		if err := e.addBounce(h, tx, rx, s.Pos, s.Gain); err != nil {
+			return err
 		}
 	}
+	return nil
+}
 
-	// The tag's backscatter path.
-	if tag != nil && tag.Coeff != 0 {
-		ds, dr := tx.Dist(tag.Pos), tag.Pos.Dist(rx)
-		a, err := BackscatterAmplitude(ds, dr, e.FreqHz, cmplx.Abs(tag.Coeff))
-		if err != nil {
-			return nil, err
-		}
-		a *= DbToAmplitude(-PathAttenuationDb(e.Walls, tx, tag.Pos) - PathAttenuationDb(e.Walls, tag.Pos, rx))
-		add(a, ds+dr+tag.ExcessPathM, cmplx.Phase(tag.Coeff))
+func (e *Environment) addBounce(h []complex128, tx, rx, p Point, gain float64) error {
+	ds, dr := tx.Dist(p), p.Dist(rx)
+	if ds <= 0 || dr <= 0 {
+		return nil // co-located with an endpoint: ignore
 	}
-	return h, nil
+	a, err := BackscatterAmplitude(ds, dr, e.FreqHz, gain)
+	if err != nil {
+		return err
+	}
+	a *= DbToAmplitude(-PathAttenuationDb(e.Walls, tx, p) - PathAttenuationDb(e.Walls, p, rx))
+	e.addPath(h, a, ds+dr, 0)
+	return nil
+}
+
+// addTag adds the tag's backscatter path to h; a nil tag or a zero
+// coefficient adds nothing.
+func (e *Environment) addTag(h []complex128, tx, rx Point, tag *TagReflection) error {
+	if tag == nil || tag.Coeff == 0 {
+		return nil
+	}
+	ds, dr := tx.Dist(tag.Pos), tag.Pos.Dist(rx)
+	a, err := BackscatterAmplitude(ds, dr, e.FreqHz, cmplx.Abs(tag.Coeff))
+	if err != nil {
+		return err
+	}
+	a *= DbToAmplitude(-PathAttenuationDb(e.Walls, tx, tag.Pos) - PathAttenuationDb(e.Walls, tag.Pos, rx))
+	e.addPath(h, a, ds+dr+tag.ExcessPathM, cmplx.Phase(tag.Coeff))
+	return nil
 }
 
 // MeanPower returns the mean |h|² over subcarriers.
@@ -212,11 +261,7 @@ func (e *Environment) SNR(tx, rx Point) (float64, error) {
 // the tag produces when toggling between two reflection states — the |Δh|²
 // from Figure 3 that §5.2 maximises.
 func (e *Environment) TagDeltaPower(tx, rx Point, stateA, stateB *TagReflection) (float64, error) {
-	ha, err := e.Channel(tx, rx, stateA)
-	if err != nil {
-		return 0, err
-	}
-	hb, err := e.Channel(tx, rx, stateB)
+	ha, hb, err := e.ChannelPair(tx, rx, stateA, stateB)
 	if err != nil {
 		return 0, err
 	}

@@ -190,6 +190,30 @@ func (q QuerySpec) BuildQuery(s *mac.AMPDUScheduler) (*dot11.AMPDU, uint16, erro
 	return s.BuildAMPDU(payloads)
 }
 
+// PSDULen returns len(BuildQuery(s).Marshal()) for a scheduler whose
+// cipher adds cipherOverhead bytes per MPDU, in closed form: per subframe a
+// delimiter, the QoS header, the payload (at least one byte, as BuildQuery
+// pads it), the cipher overhead and the FCS, padded to 4 bytes on every
+// subframe but the last. It fails where the build would: an invalid spec
+// or an MPDU too long for the delimiter's length field.
+func (q QuerySpec) PSDULen(cipherOverhead int) (int, error) {
+	if err := q.Validate(); err != nil {
+		return 0, err
+	}
+	n := 0
+	for i := 0; i < q.Total(); i++ {
+		mpdu := dot11.QoSHeaderLen + max(q.payloadAt(i), 1) + cipherOverhead + 4
+		if mpdu > dot11.MaxMPDULen {
+			return 0, fmt.Errorf("core: subframe %d length %d exceeds %d", i, mpdu, dot11.MaxMPDULen)
+		}
+		n += dot11.DelimiterLen + mpdu
+		if i != q.Total()-1 {
+			n = (n + 3) &^ 3
+		}
+	}
+	return n, nil
+}
+
 // EnvelopeAmplitudeFor maps a payload fill byte to a relative RF envelope
 // amplitude at the tag: the fraction of 1-bits sets OFDM subcarrier
 // loading in this model (1.0 for all-ones, 0.15 for all-zero payloads,

@@ -141,6 +141,17 @@ func (s *System) Reshape() error {
 	return err
 }
 
+// checkCipher fails when the system and its scheduler disagree on the
+// cipher: shaping and the per-subframe link model use System.Cipher, the
+// scheduler's frames would carry Scheduler.Cipher, and a round sized by
+// one while transmitted under the other would model neither.
+func (s *System) checkCipher() error {
+	if s.Cipher != s.Scheduler.Cipher {
+		return fmt.Errorf("core: System.Cipher and Scheduler.Cipher differ; set both to the same cipher")
+	}
+	return nil
+}
+
 func (s *System) cipherOverhead() int {
 	if s.Cipher == nil {
 		return 0
@@ -179,10 +190,12 @@ func (r *RoundResult) BER() float64 {
 func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 	// Phase-attribution spans (DESIGN.md §14). The round is carved into
 	// contiguous, non-overlapping regions so phase totals sum to ~the whole
-	// round: encode → channel → equalise → channel → viterbi → crc. Spans
-	// are passive wall-clock reads into volatile histograms — no RNG draws,
-	// no branches into the simulation — and error paths simply drop the
-	// open span (the trial aborts anyway).
+	// round: encode → channel → equalise → channel → viterbi → crc. The
+	// encode region covers the closed-form PSDU length, the sequence-number
+	// reservation and the subframe airtimes; no frame bytes are built.
+	// Spans are passive wall-clock reads into volatile histograms — no RNG
+	// draws, no branches into the simulation — and error paths simply drop
+	// the open span (the trial aborts anyway).
 	var spans *obs.Spans
 	if o := s.Obs; o != nil {
 		spans = o.Spans
@@ -190,6 +203,9 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 	}
 	sp := spans.Start()
 	if err := s.Spec.Validate(); err != nil {
+		return nil, err
+	}
+	if err := s.checkCipher(); err != nil {
 		return nil, err
 	}
 	if len(bits) > s.Spec.DataLen {
@@ -204,16 +220,19 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 		}
 	}
 
-	// --- Client side: build and "transmit" the query. ---
-	agg, startSeq, err := s.Spec.BuildQuery(s.Scheduler)
+	// --- Client side: size and "transmit" the query. The link model reads
+	// subframes only through FCS pass/fail, so the round needs the PSDU's
+	// length and BA window, not its bytes (BuildQuery builds those). ---
+	overhead := s.cipherOverhead()
+	psduLen, err := s.Spec.PSDULen(overhead)
 	if err != nil {
 		return nil, err
 	}
-	psdu, err := agg.Marshal()
+	startSeq, err := s.Scheduler.Reserve(s.Spec.Total())
 	if err != nil {
 		return nil, err
 	}
-	airs, err := s.Spec.SubframeAirtimes(s.cipherOverhead())
+	airs, err := s.Spec.SubframeAirtimes(overhead)
 	if err != nil {
 		return nil, err
 	}
@@ -254,12 +273,8 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 		return nil, err
 	}
 	excess := s.Tag.ExcessPathM()
-	hRest, err := s.Env.Channel(s.ClientPos, s.APPos,
-		&channel.TagReflection{Pos: s.TagPos, Coeff: restCoeff, ExcessPathM: excess})
-	if err != nil {
-		return nil, err
-	}
-	hFlip, err := s.Env.Channel(s.ClientPos, s.APPos,
+	hRest, hFlip, err := s.Env.ChannelPair(s.ClientPos, s.APPos,
+		&channel.TagReflection{Pos: s.TagPos, Coeff: restCoeff, ExcessPathM: excess},
 		&channel.TagReflection{Pos: s.TagPos, Coeff: flipCoeff, ExcessPathM: excess})
 	if err != nil {
 		return nil, err
@@ -276,7 +291,7 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 	sp = spans.Start()
 
 	// --- Per-subframe corruption coverage. ---
-	coverage := make([]float64, s.Spec.DataLen)
+	var coverage []float64
 	if detected {
 		coverage, err = s.Tag.CorruptionCoverageSchedule(timing, txBits, airs[s.Spec.TriggerLen:], s.TempC)
 		if err != nil {
@@ -287,6 +302,8 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 		for i := brownStart; i < brownStart+brownLen; i++ {
 			coverage[i] = 0
 		}
+	} else {
+		coverage = make([]float64, s.Spec.DataLen)
 	}
 
 	// Ambient traffic draws once per round at this fixed point, from its
@@ -298,7 +315,16 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 	spans.End(obs.PhaseChannel, sp)
 	sp = spans.Start()
 
-	// --- AP side: per-subframe decode, scoreboard, block ACK. ---
+	// --- AP side: per-subframe decode, scoreboard, block ACK. The SINR is
+	// constant over the round, so each segment's coded BER is too. ---
+	cleanBER, err := phy.CodedBER(s.Spec.MCS, snr)
+	if err != nil {
+		return nil, err
+	}
+	dirtyBER, err := phy.CodedBER(s.Spec.MCS, dirtySINR)
+	if err != nil {
+		return nil, err
+	}
 	sb, err := mac.NewScoreboard(startSeq)
 	if err != nil {
 		return nil, err
@@ -309,11 +335,8 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 		if i >= s.Spec.TriggerLen {
 			f = coverage[i-s.Spec.TriggerLen]
 		}
-		subBits := s.Spec.onAirBytesAt(i, s.cipherOverhead()) * 8
-		ok, err := s.sampleSubframeDecode(snr, dirtySINR, subBits, f)
-		if err != nil {
-			return nil, err
-		}
+		subBits := s.Spec.onAirBytesAt(i, overhead) * 8
+		ok := stats.Bernoulli(s.rng, decodeProb(cleanBER, dirtyBER, subBits, f))
 		if s.Faults != nil {
 			// The burst chain steps every subframe so its dwell times are
 			// real time, not conditioned on decode outcomes.
@@ -372,7 +395,7 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	ppdu, err := dot11.PPDUAirtime(len(psdu), s.Spec.MCS, s.Spec.Width, s.Spec.GI)
+	ppdu, err := dot11.PPDUAirtime(psduLen, s.Spec.MCS, s.Spec.Width, s.Spec.GI)
 	if err != nil {
 		return nil, err
 	}
@@ -475,9 +498,13 @@ func (s *System) detectTrigger(subAir time.Duration) (bool, tag.QueryTiming, err
 	}, nil
 }
 
-// sampleSubframeDecode draws whether a subframe survives, splitting its
-// bits between clean-channel and corrupted-channel segments.
-func (s *System) sampleSubframeDecode(cleanSINR, dirtySINR float64, subBits int, coverage float64) (bool, error) {
+// decodeProb returns the probability a subframe of subBits bits survives
+// when the corrupted fraction coverage of its bits sees the coded BER
+// dirtyBER and the rest sees cleanBER. Each segment succeeds with
+// (1 − BER)^bits, the expression phy.SubframeSuccessProb evaluates, so the
+// product is bit-identical to two SubframeSuccessProb calls at the
+// segments' SINRs.
+func decodeProb(cleanBER, dirtyBER float64, subBits int, coverage float64) float64 {
 	if coverage < 0 {
 		coverage = 0
 	}
@@ -488,34 +515,25 @@ func (s *System) sampleSubframeDecode(cleanSINR, dirtySINR float64, subBits int,
 	cleanBits := int(math.Round(float64(subBits) * (1 - coverage)))
 	dirtyBits := subBits - cleanBits
 	if cleanBits > 0 {
-		pc, err := phy.SubframeSuccessProb(s.Spec.MCS, cleanSINR, cleanBits)
-		if err != nil {
-			return false, err
-		}
-		p *= pc
+		p *= math.Pow(1-cleanBER, float64(cleanBits))
 	}
 	if dirtyBits > 0 {
-		pd, err := phy.SubframeSuccessProb(s.Spec.MCS, dirtySINR, dirtyBits)
-		if err != nil {
-			return false, err
-		}
-		p *= pd
+		p *= math.Pow(1-dirtyBER, float64(dirtyBits))
 	}
-	return stats.Bernoulli(s.rng, p), nil
+	return p
 }
 
 // TagRateBps returns the steady-state tag data rate this system achieves:
 // data bits per query divided by round airtime (excluding bit errors).
 func (s *System) TagRateBps() (float64, error) {
-	agg, _, err := s.Spec.BuildQuery(s.Scheduler)
+	if err := s.checkCipher(); err != nil {
+		return 0, err
+	}
+	psduLen, err := s.Spec.PSDULen(s.cipherOverhead())
 	if err != nil {
 		return 0, err
 	}
-	psdu, err := agg.Marshal()
-	if err != nil {
-		return 0, err
-	}
-	ex, err := dot11.QueryRoundAirtime(len(psdu), s.Spec.MCS, s.Spec.Width, s.Spec.GI, s.BARateMbps)
+	ex, err := dot11.QueryRoundAirtime(psduLen, s.Spec.MCS, s.Spec.Width, s.Spec.GI, s.BARateMbps)
 	if err != nil {
 		return 0, err
 	}

@@ -97,11 +97,7 @@ func Figure3Ctx(ctx context.Context, seed int64, workers int) (*Figure3Result, e
 		}
 
 		dist := func(a, b *channel.TagReflection) (float64, error) {
-			ha, err := env.Channel(sys.ClientPos, sys.APPos, a)
-			if err != nil {
-				return 0, err
-			}
-			hb, err := env.Channel(sys.ClientPos, sys.APPos, b)
+			ha, hb, err := env.ChannelPair(sys.ClientPos, sys.APPos, a, b)
 			if err != nil {
 				return 0, err
 			}

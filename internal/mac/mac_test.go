@@ -104,6 +104,39 @@ func TestSchedulerSeqWraps12Bits(t *testing.T) {
 	}
 }
 
+// Reserve must leave the sequence state exactly where a byte-level build of
+// the same size does, across the 12-bit wrap.
+func TestReserveMatchesBuildAMPDU(t *testing.T) {
+	for n := 1; n <= dot11.MaxSubframes; n++ {
+		built, _ := NewAMPDUScheduler(src, dst, bssid, 0)
+		reserved, _ := NewAMPDUScheduler(src, dst, bssid, 0)
+		built.nextSeq, reserved.nextSeq = 4090, 4090
+		for round := 0; round < 3; round++ {
+			_, wantStart, err := built.BuildAMPDU(make([][]byte, n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			start, err := reserved.Reserve(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if start != wantStart || reserved.NextSeq() != built.NextSeq() {
+				t.Fatalf("n=%d round %d: Reserve start=%d next=%d, BuildAMPDU start=%d next=%d",
+					n, round, start, reserved.NextSeq(), wantStart, built.NextSeq())
+			}
+		}
+	}
+	s, _ := NewAMPDUScheduler(src, dst, bssid, 0)
+	for _, n := range []int{0, -1, dot11.MaxSubframes + 1} {
+		if _, err := s.Reserve(n); err == nil {
+			t.Errorf("Reserve(%d) accepted", n)
+		}
+	}
+	if s.NextSeq() != 0 {
+		t.Fatalf("rejected Reserve moved the sequence to %d", s.NextSeq())
+	}
+}
+
 func TestSchedulerValidation(t *testing.T) {
 	if _, err := NewAMPDUScheduler(src, dst, bssid, 16); err == nil {
 		t.Fatal("TID 16 accepted")

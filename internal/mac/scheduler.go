@@ -28,6 +28,20 @@ func NewAMPDUScheduler(src, dst, bssid dot11.MACAddr, tid byte) (*AMPDUScheduler
 // NextSeq exposes the next sequence number to be assigned.
 func (s *AMPDUScheduler) NextSeq() uint16 { return s.nextSeq }
 
+// Reserve consumes n sequence numbers exactly as BuildAMPDU with n
+// payloads would, without building any frames, and returns the starting
+// sequence number of the reserved BA window. Callers that only need the
+// aggregate's length and window (the analytic query round) use it to keep
+// the sequence state in step with a byte-level build.
+func (s *AMPDUScheduler) Reserve(n int) (uint16, error) {
+	if n < 1 || n > dot11.MaxSubframes {
+		return 0, fmt.Errorf("mac: %d payloads outside [1,%d]", n, dot11.MaxSubframes)
+	}
+	start := s.nextSeq
+	s.nextSeq = (s.nextSeq + uint16(n)) & 0x0FFF
+	return start, nil
+}
+
 // BuildAMPDU aggregates payloads into one A-MPDU, consuming sequence
 // numbers. Empty payloads become QoS null subframes. It returns the
 // aggregate and the starting sequence number of its BA window.

@@ -50,16 +50,27 @@ type spectrumTerm struct {
 	beta float64
 }
 
+// The spectra are fixed tables built once: CodedBER runs once or twice per
+// query round, and a fresh slice per call would allocate on the hot path.
+var (
+	spectrum12 = []spectrumTerm{{10, 36}, {12, 211}, {14, 1404}, {16, 11633}}
+	spectrum23 = []spectrumTerm{{6, 3}, {7, 70}, {8, 285}, {9, 1276}, {10, 6160}}
+	spectrum34 = []spectrumTerm{{5, 42}, {6, 201}, {7, 1492}, {8, 10469}}
+	spectrum56 = []spectrumTerm{{4, 92}, {5, 528}, {6, 8694}, {7, 79453}}
+)
+
+// distanceSpectrum returns the shared table for rate; callers must not
+// modify it.
 func distanceSpectrum(rate dot11.CodeRate) ([]spectrumTerm, error) {
 	switch rate {
 	case dot11.Rate12:
-		return []spectrumTerm{{10, 36}, {12, 211}, {14, 1404}, {16, 11633}}, nil
+		return spectrum12, nil
 	case dot11.Rate23:
-		return []spectrumTerm{{6, 3}, {7, 70}, {8, 285}, {9, 1276}, {10, 6160}}, nil
+		return spectrum23, nil
 	case dot11.Rate34:
-		return []spectrumTerm{{5, 42}, {6, 201}, {7, 1492}, {8, 10469}}, nil
+		return spectrum34, nil
 	case dot11.Rate56:
-		return []spectrumTerm{{4, 92}, {5, 528}, {6, 8694}, {7, 79453}}, nil
+		return spectrum56, nil
 	default:
 		return nil, fmt.Errorf("phy: unsupported code rate %v", rate)
 	}

@@ -130,6 +130,24 @@ func TestSubframeSuccessProb(t *testing.T) {
 	}
 }
 
+// The link model runs per subframe of every query round; it must not
+// allocate at any code rate.
+func TestLinkModelAllocationFree(t *testing.T) {
+	for idx := 0; idx <= 7; idx++ {
+		mcs, err := dot11.HTMCS(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snr := SNRFromDb(12)
+		if n := testing.AllocsPerRun(100, func() { _, _ = CodedBER(mcs, snr) }); n != 0 {
+			t.Errorf("CodedBER at %v: %v allocs/call, want 0", mcs, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { _, _ = SubframeSuccessProb(mcs, snr, 480) }); n != 0 {
+			t.Errorf("SubframeSuccessProb at %v: %v allocs/call, want 0", mcs, n)
+		}
+	}
+}
+
 func TestDistortionAfterCPE(t *testing.T) {
 	// Identical channels: zero distortion.
 	h := []complex128{1, 1 + 0.2i, 0.8}
