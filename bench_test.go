@@ -264,6 +264,59 @@ func BenchmarkViterbiDecode(b *testing.B) {
 	}
 }
 
+func BenchmarkViterbiDecodeSoft(b *testing.B) {
+	rng := stats.NewRNG(6)
+	data := stats.RandomBits(rng, 4096)
+	coded := phy.ConvEncode(append(data, make([]byte, 6)...))
+	llr := make([]float64, len(coded))
+	for i, c := range coded {
+		llr[i] = 1 - 2*float64(c) + 0.5*rng.NormFloat64()
+	}
+	b.SetBytes(int64(len(data)) / 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := phy.ViterbiDecodeSoft(llr); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBitTrueChain times one round of the bit-true PHY as the
+// bittrue_phy benchmark workload defines it: a 40-byte PSDU through
+// Transmit → ApplyChannel → EstimateCSI → hard-decision Receive on a flat
+// noisy channel, cycling HT MCS 0–7 from op to op.
+func BenchmarkBitTrueChain(b *testing.B) {
+	var cfgs [8]phy.Config
+	for m := range cfgs {
+		mcs, err := dot11.HTMCS(m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfgs[m] = phy.DefaultConfig()
+		cfgs[m].MCS = mcs
+	}
+	flat := func(sym, sc int) complex128 { return 1 }
+	noiseVar := 1 / phy.SNRFromDb(30)
+	rng := stats.NewRNG(8)
+	psdu := stats.RandomBytes(rng, 40)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		wf, err := phy.Transmit(psdu, cfgs[i%len(cfgs)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		rx := phy.ApplyChannel(wf, flat, noiseVar, rng)
+		csi, err := phy.EstimateCSI(rx.LTF)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := phy.Receive(rx, csi, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkAMPDUMarshalDeaggregate(b *testing.B) {
 	var mpdus [][]byte
 	for i := 0; i < 64; i++ {

@@ -79,19 +79,22 @@ func (m *Mapper) axisLevel(bits []byte) float64 {
 // HardDemap slices a received point to the nearest constellation point's
 // bits.
 func (m *Mapper) HardDemap(pt complex128) []byte {
-	if m.mod == dot11.BPSK {
-		if real(pt) >= 0 {
-			return []byte{1}
-		}
-		return []byte{0}
-	}
-	out := make([]byte, 0, m.BitsPerPoint())
-	out = append(out, m.axisDemap(real(pt)/m.scale)...)
-	out = append(out, m.axisDemap(imag(pt)/m.scale)...)
-	return out
+	return m.appendHardDemap(make([]byte, 0, m.BitsPerPoint()), pt)
 }
 
-func (m *Mapper) axisDemap(x float64) []byte {
+// appendHardDemap appends HardDemap's bits for pt to dst.
+func (m *Mapper) appendHardDemap(dst []byte, pt complex128) []byte {
+	if m.mod == dot11.BPSK {
+		if real(pt) >= 0 {
+			return append(dst, 1)
+		}
+		return append(dst, 0)
+	}
+	dst = m.appendAxisDemap(dst, real(pt)/m.scale)
+	return m.appendAxisDemap(dst, imag(pt)/m.scale)
+}
+
+func (m *Mapper) appendAxisDemap(dst []byte, x float64) []byte {
 	bestG, bestD := 0, math.Inf(1)
 	for g, amp := range m.levels {
 		d := (x - amp) * (x - amp)
@@ -100,31 +103,32 @@ func (m *Mapper) axisDemap(x float64) []byte {
 			bestG = g
 		}
 	}
-	bits := make([]byte, m.bitsPerI)
-	for i := range bits {
-		bits[i] = byte(bestG >> uint(m.bitsPerI-1-i) & 1)
+	for i := 0; i < m.bitsPerI; i++ {
+		dst = append(dst, byte(bestG>>uint(m.bitsPerI-1-i)&1))
 	}
-	return bits
+	return dst
 }
 
 // SoftDemap produces max-log LLRs for each bit of a received point:
 // positive favours 0, negative favours 1, scaled by 1/noiseVar.
 func (m *Mapper) SoftDemap(pt complex128, noiseVar float64) []float64 {
+	return m.appendSoftDemap(make([]float64, 0, m.BitsPerPoint()), pt, noiseVar)
+}
+
+// appendSoftDemap appends SoftDemap's LLRs for pt to dst.
+func (m *Mapper) appendSoftDemap(dst []float64, pt complex128, noiseVar float64) []float64 {
 	if noiseVar <= 0 {
 		noiseVar = 1e-12
 	}
 	if m.mod == dot11.BPSK {
-		return []float64{-2 * real(pt) / noiseVar}
+		return append(dst, -2*real(pt)/noiseVar)
 	}
-	out := make([]float64, 0, m.BitsPerPoint())
-	out = append(out, m.axisSoft(real(pt)/m.scale, noiseVar)...)
-	out = append(out, m.axisSoft(imag(pt)/m.scale, noiseVar)...)
-	return out
+	dst = m.appendAxisSoft(dst, real(pt)/m.scale, noiseVar)
+	return m.appendAxisSoft(dst, imag(pt)/m.scale, noiseVar)
 }
 
-func (m *Mapper) axisSoft(x float64, noiseVar float64) []float64 {
+func (m *Mapper) appendAxisSoft(dst []float64, x float64, noiseVar float64) []float64 {
 	nv := noiseVar / (m.scale * m.scale)
-	llrs := make([]float64, m.bitsPerI)
 	for bit := 0; bit < m.bitsPerI; bit++ {
 		d0, d1 := math.Inf(1), math.Inf(1)
 		for g, amp := range m.levels {
@@ -137,9 +141,9 @@ func (m *Mapper) axisSoft(x float64, noiseVar float64) []float64 {
 				d1 = d
 			}
 		}
-		llrs[bit] = (d1 - d0) / nv
+		dst = append(dst, (d1-d0)/nv)
 	}
-	return llrs
+	return dst
 }
 
 // EVM computes the error vector magnitude (RMS, linear) between received

@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"bytes"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -149,6 +150,40 @@ func TestSoftDemapConfidenceScalesWithNoise(t *testing.T) {
 	}
 	// Zero/negative noise variance must not panic.
 	_ = m.SoftDemap(pt, 0)
+}
+
+// TestAppendDemapMatchesExported checks that the append forms Receive
+// uses produce, point after point into one growing block, exactly the
+// bits and LLRs of the exported per-point methods.
+func TestAppendDemapMatchesExported(t *testing.T) {
+	rng := stats.NewRNG(17)
+	for _, mod := range allMods() {
+		m, err := NewMapper(mod)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hard, wantHard []byte
+		var soft, wantSoft []float64
+		for i := 0; i < 500; i++ {
+			pt := complex(1.6*rng.NormFloat64(), 1.6*rng.NormFloat64())
+			noiseVar := []float64{0, 0.01, 0.3}[i%3]
+			hard = m.appendHardDemap(hard, pt)
+			soft = m.appendSoftDemap(soft, pt, noiseVar)
+			wantHard = append(wantHard, m.HardDemap(pt)...)
+			wantSoft = append(wantSoft, m.SoftDemap(pt, noiseVar)...)
+		}
+		if !bytes.Equal(hard, wantHard) {
+			t.Fatalf("%v: appendHardDemap differs from HardDemap", mod)
+		}
+		if len(soft) != len(wantSoft) {
+			t.Fatalf("%v: appendSoftDemap gave %d LLRs, SoftDemap %d", mod, len(soft), len(wantSoft))
+		}
+		for i := range soft {
+			if math.Float64bits(soft[i]) != math.Float64bits(wantSoft[i]) {
+				t.Fatalf("%v: LLR %d = %v, SoftDemap %v", mod, i, soft[i], wantSoft[i])
+			}
+		}
+	}
 }
 
 func TestEVM(t *testing.T) {

@@ -58,18 +58,27 @@ func ConvEncode(bits []byte) []byte {
 	return out
 }
 
-// punctureMap returns the keep-pattern for a code rate: a boolean per
-// mother-code bit over one puncturing period.
+// Keep-patterns per code rate: a boolean per mother-code bit over one
+// puncturing period. Shared and read-only.
+var (
+	puncture12 = []bool{true, true}
+	puncture23 = []bool{true, true, true, false}
+	puncture34 = []bool{true, true, true, false, false, true}
+	puncture56 = []bool{true, true, true, false, false, true, true, false, false, true}
+)
+
+// punctureMap returns the keep-pattern for a code rate. Callers must not
+// modify it.
 func punctureMap(rate dot11.CodeRate) ([]bool, error) {
 	switch rate {
 	case dot11.Rate12:
-		return []bool{true, true}, nil
+		return puncture12, nil
 	case dot11.Rate23:
-		return []bool{true, true, true, false}, nil
+		return puncture23, nil
 	case dot11.Rate34:
-		return []bool{true, true, true, false, false, true}, nil
+		return puncture34, nil
 	case dot11.Rate56:
-		return []bool{true, true, true, false, false, true, true, false, false, true}, nil
+		return puncture56, nil
 	default:
 		return nil, fmt.Errorf("phy: unsupported code rate %v", rate)
 	}
@@ -81,13 +90,19 @@ func Puncture(coded []byte, rate dot11.CodeRate) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, 0, len(coded)*rate.Den/(2*rate.Num))
+	return appendPunctured(make([]byte, 0, len(coded)*rate.Den/(2*rate.Num)), coded, pat), nil
+}
+
+// appendPunctured appends the bits of coded that pat keeps to dst. The
+// write position never passes the read position, so dst may be coded[:0]
+// to puncture in place.
+func appendPunctured(dst, coded []byte, pat []bool) []byte {
 	for i, b := range coded {
 		if pat[i%len(pat)] {
-			out = append(out, b)
+			dst = append(dst, b)
 		}
 	}
-	return out, nil
+	return dst
 }
 
 // erasure marks a depunctured position carrying no channel information.
@@ -119,6 +134,15 @@ func Depuncture(punctured []byte, rate dot11.CodeRate, motherLen int) ([]byte, e
 	return out, nil
 }
 
+// Both decoders keep their path metrics in two [64] arrays and their
+// survivors bit-packed, one uint64 per trellis step: bit ns holds the low
+// bit of the predecessor that won state ns. The rest of a transition is
+// implied by the shift-register trellis — state ns = in<<5 | s>>1 — so the
+// decoded bit is ns>>5&1 and the predecessor is ns<<1&63 | the stored bit.
+// The add-compare-select loops visit s ascending, then in, and keep a
+// candidate only when it is strictly better, so ties resolve to the lower
+// predecessor.
+
 // ViterbiDecode performs hard-decision maximum-likelihood decoding of a
 // rate-1/2 mother-code stream (with optional erasure marks from
 // Depuncture). It returns the decoded bits, including whatever tail the
@@ -132,18 +156,18 @@ func ViterbiDecode(coded []byte) ([]byte, error) {
 		return nil, nil
 	}
 	const inf = math.MaxInt32 / 2
-	metric := make([]int32, convStates)
-	next := make([]int32, convStates)
+	var bufA, bufB [convStates]int32
+	metric, next := &bufA, &bufB
 	for s := 1; s < convStates; s++ {
 		metric[s] = inf // encoder starts in state 0
 	}
-	// survivors[t][s] packs the input bit and predecessor state.
-	survivors := make([][convStates]uint8, n)
+	survivors := make([]uint64, n)
 	for t := 0; t < n; t++ {
 		c0, c1 := coded[2*t], coded[2*t+1]
 		for s := range next {
 			next[s] = inf
 		}
+		var sv uint64
 		for s := 0; s < convStates; s++ {
 			if metric[s] >= inf {
 				continue
@@ -161,27 +185,17 @@ func ViterbiDecode(coded []byte) ([]byte, error) {
 				m := metric[s] + bm
 				if m < next[ns] {
 					next[ns] = m
-					survivors[t][ns] = uint8(in<<6) | uint8(s)&0x3F
+					// The odd predecessor of ns is visited after the
+					// even one, so setting its bit never needs undoing.
+					sv |= uint64(s&1) << ns
 				}
 			}
 		}
+		survivors[t] = sv
 		metric, next = next, metric
 	}
 	// Terminate in the best state (state 0 when tail bits flushed cleanly).
-	best := 0
-	for s := 1; s < convStates; s++ {
-		if metric[s] < metric[best] {
-			best = s
-		}
-	}
-	out := make([]byte, n)
-	state := best
-	for t := n - 1; t >= 0; t-- {
-		sv := survivors[t][state]
-		out[t] = sv >> 6 & 1
-		state = int(sv & 0x3F)
-	}
-	return out, nil
+	return traceback(survivors, bestState(metric)), nil
 }
 
 // ViterbiDecodeSoft decodes using per-bit soft metrics: llr[i] > 0 favours
@@ -197,17 +211,18 @@ func ViterbiDecodeSoft(llr []float64) ([]byte, error) {
 		return nil, nil
 	}
 	inf := math.Inf(1)
-	metric := make([]float64, convStates)
-	next := make([]float64, convStates)
+	var bufA, bufB [convStates]float64
+	metric, next := &bufA, &bufB
 	for s := 1; s < convStates; s++ {
 		metric[s] = inf
 	}
-	survivors := make([][convStates]uint8, n)
+	survivors := make([]uint64, n)
 	for t := 0; t < n; t++ {
 		l0, l1 := llr[2*t], llr[2*t+1]
 		for s := range next {
 			next[s] = inf
 		}
+		var sv uint64
 		for s := 0; s < convStates; s++ {
 			if math.IsInf(metric[s], 1) {
 				continue
@@ -231,24 +246,35 @@ func ViterbiDecodeSoft(llr []float64) ([]byte, error) {
 				m := metric[s] + bm
 				if m < next[ns] {
 					next[ns] = m
-					survivors[t][ns] = uint8(in<<6) | uint8(s)&0x3F
+					sv |= uint64(s&1) << ns
 				}
 			}
 		}
+		survivors[t] = sv
 		metric, next = next, metric
 	}
+	return traceback(survivors, bestState(metric)), nil
+}
+
+// bestState returns the state with the lowest path metric, the lowest
+// such state on a tie.
+func bestState[T int32 | float64](metric *[convStates]T) int {
 	best := 0
 	for s := 1; s < convStates; s++ {
 		if metric[s] < metric[best] {
 			best = s
 		}
 	}
-	out := make([]byte, n)
-	state := best
-	for t := n - 1; t >= 0; t-- {
-		sv := survivors[t][state]
-		out[t] = sv >> 6 & 1
-		state = int(sv & 0x3F)
+	return best
+}
+
+// traceback walks the packed survivors back from state and returns the
+// decoded bits.
+func traceback(survivors []uint64, state int) []byte {
+	out := make([]byte, len(survivors))
+	for t := len(survivors) - 1; t >= 0; t-- {
+		out[t] = byte(state >> (convK - 2) & 1)
+		state = state<<1&(convStates-1) | int(survivors[t]>>state&1)
 	}
-	return out, nil
+	return out
 }

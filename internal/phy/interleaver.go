@@ -53,10 +53,16 @@ func (il *Interleaver) Interleave(bits []byte) ([]byte, error) {
 		return nil, fmt.Errorf("phy: interleave block must be %d bits, got %d", il.ncbps, len(bits))
 	}
 	out := make([]byte, len(bits))
-	for k, b := range bits {
-		out[il.perm[k]] = b
-	}
+	il.interleaveInto(out, bits)
 	return out, nil
+}
+
+// interleaveInto writes the permuted N_CBPS-bit block bits into dst, which
+// must hold N_CBPS bits and not alias bits.
+func (il *Interleaver) interleaveInto(dst, bits []byte) {
+	for k, b := range bits {
+		dst[il.perm[k]] = b
+	}
 }
 
 // Deinterleave inverts Interleave.
@@ -65,9 +71,7 @@ func (il *Interleaver) Deinterleave(bits []byte) ([]byte, error) {
 		return nil, fmt.Errorf("phy: deinterleave block must be %d bits, got %d", il.ncbps, len(bits))
 	}
 	out := make([]byte, len(bits))
-	for j, b := range bits {
-		out[il.inv[j]] = b
-	}
+	deinterleaveInto(il, out, bits)
 	return out, nil
 }
 
@@ -77,8 +81,15 @@ func (il *Interleaver) DeinterleaveSoft(llr []float64) ([]float64, error) {
 		return nil, fmt.Errorf("phy: deinterleave block must be %d values, got %d", il.ncbps, len(llr))
 	}
 	out := make([]float64, len(llr))
-	for j, v := range llr {
-		out[il.inv[j]] = v
-	}
+	deinterleaveInto(il, out, llr)
 	return out, nil
+}
+
+// deinterleaveInto writes the inverse permutation of one N_CBPS block of
+// hard bits or soft metrics into dst, which must hold N_CBPS values and
+// not alias src.
+func deinterleaveInto[T byte | float64](il *Interleaver, dst, src []T) {
+	for j, v := range src {
+		dst[il.inv[j]] = v
+	}
 }

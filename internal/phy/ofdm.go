@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 
-	"witag/internal/bitio"
 	"witag/internal/dot11"
 	"witag/internal/obs"
 )
@@ -111,21 +110,22 @@ func ltfSequence(k int) complex128 {
 	return complex(-1, 0)
 }
 
-// pilotPolarity returns the ±1 pilot polarity for OFDM symbol n, generated
-// by the scrambler LFSR with the all-ones seed — the construction the
-// standard itself uses for its 127-element polarity sequence.
-func pilotPolarity(n int) float64 {
+// pilotPolarities is the 127-element ±1 pilot polarity sequence,
+// generated by the scrambler LFSR with the all-ones seed — the
+// construction the standard itself uses: step i's feedback bit gives
+// entry i, 0 → +1 and 1 → −1.
+var pilotPolarities = func() (p [127]float64) {
 	state := byte(0x7F)
-	var bit byte
-	for i := 0; i <= n%127; i++ {
-		bit = (state >> 6 & 1) ^ (state >> 3 & 1)
+	for i := range p {
+		bit := (state >> 6 & 1) ^ (state >> 3 & 1)
 		state = state<<1&0x7F | bit
+		p[i] = 1 - 2*float64(bit)
 	}
-	if bit == 0 {
-		return 1
-	}
-	return -1
-}
+	return p
+}()
+
+// pilotPolarity returns the ±1 pilot polarity for OFDM symbol n ≥ 0.
+func pilotPolarity(n int) float64 { return pilotPolarities[n%127] }
 
 // Waveform is a transmitted PPDU in the frequency domain: training symbols
 // followed by data symbols, each a slice over used subcarriers.
@@ -134,7 +134,9 @@ type Waveform struct {
 	Symbols [][]complex128 // data symbols
 	PSDULen int
 	Config  Config
-	Layout  *Layout
+	// Layout is the shared read-only layout for Config.Width (see
+	// tables.go); it must not be mutated.
+	Layout *Layout
 }
 
 // NumSymbols returns the number of data OFDM symbols a PSDU of n bytes
@@ -158,7 +160,11 @@ func Transmit(psdu []byte, cfg Config) (*Waveform, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	layout, err := LayoutFor(cfg.Width)
+	layout, mapper, il, err := chainTables(cfg)
+	if err != nil {
+		return nil, err
+	}
+	pat, err := punctureMap(cfg.MCS.CodeRate)
 	if err != nil {
 		return nil, err
 	}
@@ -166,70 +172,84 @@ func Transmit(psdu []byte, cfg Config) (*Waveform, error) {
 	ncbps := cfg.MCS.CodedBitsPerSymbol(cfg.Width)
 	nsym := cfg.NumSymbols(len(psdu))
 
-	// SERVICE(16 zero bits) ‖ PSDU ‖ 6 tail ‖ pad to a symbol boundary.
-	bits := make([]byte, 0, nsym*ndbps)
-	bits = append(bits, make([]byte, 16)...)
-	bits = append(bits, bitio.BytesToBits(psdu)...)
-	bits = append(bits, make([]byte, 6)...)
-	for len(bits) < nsym*ndbps {
-		bits = append(bits, 0)
+	// SERVICE(16 zero bits) ‖ PSDU (LSB first) ‖ 6 tail ‖ pad to a symbol
+	// boundary, scrambled in place.
+	bits := make([]byte, nsym*ndbps)
+	for i, b := range psdu {
+		for j := 0; j < 8; j++ {
+			bits[16+8*i+j] = b >> uint(j) & 1
+		}
 	}
-	scrambled, err := Scramble(bits, cfg.ScramblerSeed)
-	if err != nil {
-		return nil, err
-	}
+	scrambleInto(bits, bits, cfg.ScramblerSeed)
 	// Zero the tail bits after scrambling so the encoder flushes to state 0.
 	tailStart := 16 + 8*len(psdu)
 	for i := 0; i < 6; i++ {
-		scrambled[tailStart+i] = 0
+		bits[tailStart+i] = 0
 	}
-	coded := ConvEncode(scrambled)
-	punctured, err := Puncture(coded, cfg.MCS.CodeRate)
-	if err != nil {
-		return nil, err
-	}
+	coded := ConvEncode(bits)
+	punctured := appendPunctured(coded[:0], coded, pat)
 	if len(punctured) != nsym*ncbps {
 		return nil, fmt.Errorf("phy: internal: punctured %d bits, want %d", len(punctured), nsym*ncbps)
 	}
 
-	mapper, err := NewMapper(cfg.MCS.Modulation)
-	if err != nil {
-		return nil, err
+	nused := layout.NumUsed()
+	wf := &Waveform{
+		LTF:     splitSymbols(cfg.LTFRepeats, nused),
+		Symbols: splitSymbols(nsym, nused),
+		PSDULen: len(psdu),
+		Config:  cfg,
+		Layout:  layout,
 	}
-	il, err := NewInterleaver(ncbps, cfg.MCS.Modulation.BitsPerSymbol(), interleaverColumns(cfg.Width))
-	if err != nil {
-		return nil, err
-	}
-
-	wf := &Waveform{PSDULen: len(psdu), Config: cfg, Layout: layout}
-	for r := 0; r < cfg.LTFRepeats; r++ {
-		ltf := make([]complex128, layout.NumUsed())
+	for _, ltf := range wf.LTF {
 		for k := range ltf {
 			ltf[k] = ltfSequence(k)
 		}
-		wf.LTF = append(wf.LTF, ltf)
 	}
 	bps := mapper.BitsPerPoint()
-	for s := 0; s < nsym; s++ {
-		block, err := il.Interleave(punctured[s*ncbps : (s+1)*ncbps])
-		if err != nil {
-			return nil, err
-		}
-		sym := make([]complex128, layout.NumUsed())
-		for d := 0; d < layout.NumData; d++ {
+	block := make([]byte, ncbps)
+	for s, sym := range wf.Symbols {
+		il.interleaveInto(block, punctured[s*ncbps:(s+1)*ncbps])
+		for d, idx := range layout.dataIdx {
 			pt, err := mapper.Map(block[d*bps : (d+1)*bps])
 			if err != nil {
 				return nil, err
 			}
-			sym[layout.dataIdx[d]] = pt
+			sym[idx] = pt
 		}
 		pol := pilotPolarity(s)
 		for _, pidx := range layout.PilotIdx {
 			sym[pidx] = complex(pol, 0)
 		}
-		wf.Symbols = append(wf.Symbols, sym)
 	}
 	return wf, nil
+}
+
+// splitSymbols returns n zeroed symbols of width subcarriers each, carved
+// from one backing array. Each symbol's capacity ends at its own length,
+// so an append to one symbol cannot spill into the next.
+func splitSymbols(n, width int) [][]complex128 {
+	backing := make([]complex128, n*width)
+	syms := make([][]complex128, n)
+	for s := range syms {
+		syms[s] = backing[s*width : (s+1)*width : (s+1)*width]
+	}
+	return syms
+}
+
+// symbolsLike is splitSymbols for symbols shaped like src, whose lengths
+// may differ.
+func symbolsLike(src [][]complex128) [][]complex128 {
+	total := 0
+	for _, sym := range src {
+		total += len(sym)
+	}
+	backing := make([]complex128, total)
+	syms := make([][]complex128, len(src))
+	for s, sym := range src {
+		syms[s] = backing[:len(sym):len(sym)]
+		backing = backing[len(sym):]
+	}
+	return syms
 }
 
 // ChannelFunc gives the complex channel gain seen by used subcarrier sc
@@ -254,7 +274,14 @@ type Received struct {
 // ApplyChannel passes a waveform through a (possibly time-varying) channel
 // with AWGN of the given variance per subcarrier. A nil rng disables noise.
 func ApplyChannel(wf *Waveform, h ChannelFunc, noiseVar float64, rng *rand.Rand) *Received {
-	rx := &Received{PSDULen: wf.PSDULen, Config: wf.Config, Layout: wf.Layout, NoiseVar: noiseVar}
+	rx := &Received{
+		LTF:      symbolsLike(wf.LTF),
+		Symbols:  symbolsLike(wf.Symbols),
+		PSDULen:  wf.PSDULen,
+		Config:   wf.Config,
+		Layout:   wf.Layout,
+		NoiseVar: noiseVar,
+	}
 	addNoise := func(v complex128) complex128 {
 		if rng == nil || noiseVar <= 0 {
 			return v
@@ -263,18 +290,16 @@ func ApplyChannel(wf *Waveform, h ChannelFunc, noiseVar float64, rng *rand.Rand)
 		return v + complex(rng.NormFloat64()*std, rng.NormFloat64()*std)
 	}
 	for s, sym := range wf.LTF {
-		out := make([]complex128, len(sym))
+		out := rx.LTF[s]
 		for k, v := range sym {
 			out[k] = addNoise(v * h(s, k))
 		}
-		rx.LTF = append(rx.LTF, out)
 	}
 	for s, sym := range wf.Symbols {
-		out := make([]complex128, len(sym))
+		out := rx.Symbols[s]
 		for k, v := range sym {
 			out[k] = addNoise(v * h(s+len(wf.LTF), k))
 		}
-		rx.Symbols = append(rx.Symbols, out)
 	}
 	return rx
 }

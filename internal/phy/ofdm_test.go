@@ -410,6 +410,48 @@ func TestReceiveValidation(t *testing.T) {
 	if _, err := Receive(rx2, csi, false); err == nil {
 		t.Fatal("symbol/PSDU length mismatch accepted")
 	}
+	// Malformed input must fail with an error, not a panic.
+	for _, soft := range []bool{false, true} {
+		if _, err := Receive(nil, csi, soft); err == nil {
+			t.Fatal("nil received frame accepted")
+		}
+		noLayout := *rx
+		noLayout.Layout = nil
+		if _, err := Receive(&noLayout, csi, soft); err == nil {
+			t.Fatal("frame without a layout accepted")
+		}
+		if _, err := Receive(rx, nil, soft); err == nil {
+			t.Fatal("nil CSI accepted")
+		}
+		otherWidth, err := LayoutFor(dot11.Width40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wrongLayout := *rx
+		wrongLayout.Layout = otherWidth
+		if _, err := Receive(&wrongLayout, csi, soft); err == nil {
+			t.Fatal("layout of another width accepted")
+		}
+		badPilots := *rx.Layout // a copy: the shared layout must not change
+		badPilots.PilotIdx = append([]int{badPilots.NumUsed()}, badPilots.PilotIdx[1:]...)
+		pilotsOut := *rx
+		pilotsOut.Layout = &badPilots
+		if _, err := Receive(&pilotsOut, csi, soft); err == nil {
+			t.Fatal("pilot index outside the used subcarriers accepted")
+		}
+		for _, n := range []int{wf.Layout.NumUsed() - 1, wf.Layout.NumUsed() + 1, 0} {
+			short := *rx
+			short.Symbols = append([][]complex128(nil), rx.Symbols...)
+			short.Symbols[len(short.Symbols)-1] = make([]complex128, n)
+			if _, err := Receive(&short, csi, soft); err == nil {
+				t.Fatalf("data symbol of %d subcarriers accepted", n)
+			}
+		}
+	}
+	// The frame itself still decodes.
+	if res, err := Receive(rx, csi, false); err != nil || !bytes.Equal(res.PSDU, []byte{1, 2, 3, 4}) {
+		t.Fatalf("valid frame: %v, %v", res, err)
+	}
 }
 
 func TestApplyChannelNoiseStatistics(t *testing.T) {
@@ -470,6 +512,27 @@ func TestPilotPolarityBalanced(t *testing.T) {
 	}
 	if plus < 50 || plus > 77 {
 		t.Fatalf("pilot polarity unbalanced: %d/127 positive", plus)
+	}
+}
+
+// TestPilotPolarityTableMatchesLFSR checks the precomputed polarity table
+// against its definition: the sign of the last feedback bit after
+// n mod 127 + 1 steps of the all-ones-seeded scrambler LFSR.
+func TestPilotPolarityTableMatchesLFSR(t *testing.T) {
+	for n := 0; n <= 300; n++ {
+		state := byte(0x7F)
+		var bit byte
+		for i := 0; i <= n%127; i++ {
+			bit = (state >> 6 & 1) ^ (state >> 3 & 1)
+			state = state<<1&0x7F | bit
+		}
+		want := 1.0
+		if bit == 1 {
+			want = -1
+		}
+		if got := pilotPolarity(n); got != want {
+			t.Fatalf("pilotPolarity(%d) = %v, LFSR gives %v", n, got, want)
+		}
 	}
 }
 

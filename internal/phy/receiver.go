@@ -58,54 +58,81 @@ type ReceiveResult struct {
 // the corruption — matching the behaviour of real receivers described in
 // §5 of the paper.
 func Receive(rx *Received, csi *CSI, soft bool) (*ReceiveResult, error) {
+	if rx == nil || rx.Layout == nil {
+		return nil, fmt.Errorf("phy: received frame has no subcarrier layout")
+	}
+	if csi == nil {
+		return nil, fmt.Errorf("phy: no CSI to equalise with")
+	}
 	cfg := rx.Config
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	_, mapper, il, err := chainTables(cfg)
+	if err != nil {
+		return nil, err
+	}
+	pat, err := punctureMap(cfg.MCS.CodeRate)
+	if err != nil {
+		return nil, err
+	}
 	layout := rx.Layout
+	nused := layout.NumUsed()
+	bps := mapper.BitsPerPoint()
 	ncbps := cfg.MCS.CodedBitsPerSymbol(cfg.Width)
 	ndbps := cfg.MCS.DataBitsPerSymbol(cfg.Width)
 	nsym := cfg.NumSymbols(rx.PSDULen)
+	if len(layout.dataIdx) != layout.NumData || layout.NumData*bps != ncbps {
+		return nil, fmt.Errorf("phy: layout has %d data subcarriers, %v at %d MHz needs %d", len(layout.dataIdx), cfg.MCS, cfg.Width, ncbps/bps)
+	}
+	for _, pidx := range layout.PilotIdx {
+		if pidx < 0 || pidx >= nused {
+			return nil, fmt.Errorf("phy: pilot index %d outside %d used subcarriers", pidx, nused)
+		}
+	}
 	if len(rx.Symbols) != nsym {
 		return nil, fmt.Errorf("phy: received %d data symbols, HT-SIG says %d", len(rx.Symbols), nsym)
 	}
-	if len(csi.Gains) != layout.NumUsed() {
-		return nil, fmt.Errorf("phy: CSI covers %d subcarriers, layout has %d", len(csi.Gains), layout.NumUsed())
+	for s, sym := range rx.Symbols {
+		if len(sym) != nused {
+			return nil, fmt.Errorf("phy: data symbol %d has %d subcarriers, layout has %d", s, len(sym), nused)
+		}
 	}
-	mapper, err := NewMapper(cfg.MCS.Modulation)
-	if err != nil {
-		return nil, err
-	}
-	il, err := NewInterleaver(ncbps, cfg.MCS.Modulation.BitsPerSymbol(), interleaverColumns(cfg.Width))
-	if err != nil {
-		return nil, err
+	if len(csi.Gains) != nused {
+		return nil, fmt.Errorf("phy: CSI covers %d subcarriers, layout has %d", len(csi.Gains), nused)
 	}
 
-	res := &ReceiveResult{}
+	// Per-frame buffers: one equalised symbol, one demapped block and the
+	// EVM point pairs are reused for every symbol, and each deinterleaved
+	// block lands directly in the frame's coded stream.
+	res := &ReceiveResult{SymbolEVM: make([]float64, 0, nsym)}
 	spans := rx.Spans
-	var hardStream []byte
-	var softStream []float64
+	eq := make([]complex128, nused)
+	pts := make([]complex128, 2*layout.NumData)
+	recPts, refPts := pts[:layout.NumData], pts[layout.NumData:]
+	blockHard := make([]byte, 0, ncbps)
+	hardStream := make([]byte, nsym*ncbps)
+	var blockSoft, softStream []float64
+	if soft {
+		blockSoft = make([]float64, 0, ncbps)
+		softStream = make([]float64, nsym*ncbps)
+	}
 	for s, sym := range rx.Symbols {
 		sp := spans.Start()
-		eq := equaliseSymbol(sym, csi.Gains, layout.PilotIdx, pilotPolarity(s))
+		equaliseSymbol(eq, sym, csi.Gains, layout.PilotIdx, pilotPolarity(s))
 		// Demap data subcarriers.
-		blockHard := make([]byte, 0, ncbps)
-		blockSoft := make([]float64, 0, ncbps)
-		recPts := make([]complex128, 0, layout.NumData)
-		refPts := make([]complex128, 0, layout.NumData)
-		for d := 0; d < layout.NumData; d++ {
-			pt := eq[layout.dataIdx[d]]
-			hb := mapper.HardDemap(pt)
-			blockHard = append(blockHard, hb...)
+		blockHard, blockSoft = blockHard[:0], blockSoft[:0]
+		for d, idx := range layout.dataIdx {
+			pt := eq[idx]
+			blockHard = mapper.appendHardDemap(blockHard, pt)
 			if soft {
-				blockSoft = append(blockSoft, mapper.SoftDemap(pt, rx.NoiseVar)...)
+				blockSoft = mapper.appendSoftDemap(blockSoft, pt, rx.NoiseVar)
 			}
-			sliced, err := mapper.Map(hb)
+			sliced, err := mapper.Map(blockHard[d*bps:])
 			if err != nil {
 				return nil, err
 			}
-			recPts = append(recPts, pt)
-			refPts = append(refPts, sliced)
+			recPts[d], refPts[d] = pt, sliced
 		}
 		evm, err := EVM(recPts, refPts)
 		if err != nil {
@@ -115,17 +142,9 @@ func Receive(rx *Received, csi *CSI, soft bool) (*ReceiveResult, error) {
 		spans.End(obs.PhaseEqualise, sp)
 
 		sp = spans.Start()
-		deHard, err := il.Deinterleave(blockHard)
-		if err != nil {
-			return nil, err
-		}
-		hardStream = append(hardStream, deHard...)
+		deinterleaveInto(il, hardStream[s*ncbps:(s+1)*ncbps], blockHard)
 		if soft {
-			deSoft, err := il.DeinterleaveSoft(blockSoft)
-			if err != nil {
-				return nil, err
-			}
-			softStream = append(softStream, deSoft...)
+			deinterleaveInto(il, softStream[s*ncbps:(s+1)*ncbps], blockSoft)
 		}
 		spans.End(obs.PhaseDeinterleave, sp)
 	}
@@ -135,10 +154,6 @@ func Receive(rx *Received, csi *CSI, soft bool) (*ReceiveResult, error) {
 	var decoded []byte
 	if soft {
 		// Depuncture soft metrics: zeros at punctured positions.
-		pat, err := punctureMap(cfg.MCS.CodeRate)
-		if err != nil {
-			return nil, err
-		}
 		full := make([]float64, 0, motherLen)
 		j := 0
 		for i := 0; i < motherLen; i++ {
@@ -171,10 +186,7 @@ func Receive(rx *Received, csi *CSI, soft bool) (*ReceiveResult, error) {
 
 	// Diagnostic: re-encode and count pre-Viterbi disagreements.
 	reCoded := ConvEncode(decoded)
-	rePunct, err := Puncture(reCoded, cfg.MCS.CodeRate)
-	if err != nil {
-		return nil, err
-	}
+	rePunct := appendPunctured(reCoded[:0], reCoded, pat)
 	if len(rePunct) == len(hardStream) {
 		d, err := bitio.HammingDistance(rePunct, hardStream)
 		if err == nil {
@@ -182,29 +194,27 @@ func Receive(rx *Received, csi *CSI, soft bool) (*ReceiveResult, error) {
 		}
 	}
 
-	// Recover the scrambler seed from the SERVICE field and descramble.
+	// Recover the scrambler seed from the SERVICE field and descramble in
+	// place.
 	seed, err := RecoverScramblerSeed(decoded[:7])
 	if err != nil {
 		return nil, err
 	}
 	res.ScramblerSeed = seed
-	plain, err := Descramble(decoded, seed)
-	if err != nil {
-		return nil, err
-	}
-	psduBits := plain[16 : 16+8*rx.PSDULen]
-	res.PSDU = bitio.BitsToBytes(psduBits)
+	scrambleInto(decoded, decoded, seed)
+	res.PSDU = bitio.BitsToBytes(decoded[16 : 16+8*rx.PSDULen])
 	spans.End(obs.PhaseCRC, sp)
 	return res, nil
 }
 
 // equaliseSymbol divides one received OFDM symbol by the preamble CSI and
-// removes the pilot-tracked common phase error, returning the equalised
-// subcarriers. pol is the symbol's pilot polarity. This is the receiver's
-// per-symbol equalisation stage, split out so the decode-path benchmarks
-// can time it in isolation.
-func equaliseSymbol(sym, gains []complex128, pilotIdx []int, pol float64) []complex128 {
-	eq := make([]complex128, len(sym))
+// removes the pilot-tracked common phase error, writing the equalised
+// subcarriers into eq (len(sym) of them) and returning that prefix. pol is
+// the symbol's pilot polarity. This is the receiver's per-symbol
+// equalisation stage, split out so the decode-path benchmarks can time it
+// in isolation.
+func equaliseSymbol(eq, sym, gains []complex128, pilotIdx []int, pol float64) []complex128 {
+	eq = eq[:len(sym)]
 	for k, v := range sym {
 		g := gains[k]
 		if g == 0 {

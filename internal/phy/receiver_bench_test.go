@@ -33,10 +33,11 @@ func BenchmarkEqualise(b *testing.B) {
 	rx, csi, _ := receivedFixture(b, 1500)
 	sym := rx.Symbols[0]
 	b.SetBytes(int64(len(sym) * 16)) // one complex128 per subcarrier
+	eq := make([]complex128, len(sym))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eq := equaliseSymbol(sym, csi.Gains, rx.Layout.PilotIdx, pilotPolarity(0))
-		if len(eq) != len(sym) {
+		out := equaliseSymbol(eq, sym, csi.Gains, rx.Layout.PilotIdx, pilotPolarity(0))
+		if len(out) != len(sym) {
 			b.Fatal("equalised symbol length changed")
 		}
 	}

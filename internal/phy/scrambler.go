@@ -33,15 +33,22 @@ func Scramble(bits []byte, seed byte) ([]byte, error) {
 	if seed == 0 || seed > 0x7F {
 		return nil, fmt.Errorf("phy: scrambler seed must be in [1,127], got %d", seed)
 	}
-	state := seed
 	out := make([]byte, len(bits))
+	scrambleInto(out, bits, seed)
+	return out, nil
+}
+
+// scrambleInto writes bits XOR the LFSR stream started from seed into dst,
+// which must be at least as long as bits and may be bits itself. The seed
+// must already be valid.
+func scrambleInto(dst, bits []byte, seed byte) {
+	state := seed
 	for i, b := range bits {
 		// Feedback = x7 XOR x4 (bits 6 and 3 of the state register).
 		fb := (state >> 6 & 1) ^ (state >> 3 & 1)
-		out[i] = (b & 1) ^ fb
+		dst[i] = (b & 1) ^ fb
 		state = state<<1&0x7F | fb
 	}
-	return out, nil
 }
 
 // Descramble recovers the original bits. The 802.11 scrambler is additive,
