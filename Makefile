@@ -119,6 +119,8 @@ fuzzseed:
 # timeline) must not change any output, canonicalized campaign logs and
 # logical timeline exports must be worker-count invariant, and concurrent
 # campaigns must stay byte-identical to solo runs with fully disjoint
-# metrics.
+# metrics. At the CLI surface, witag-sim and witag-bench stdout must be
+# byte-identical at -parallel 1 and -parallel 4
+# (TestStdoutDeterministicAcrossWorkerCounts).
 determinism:
-	$(GO) test -run='DeterministicAcrossWorkerCounts|MetricsIdenticalAcrossWorkerCounts|InstrumentationDoesNotPerturbResults|LoggingDoesNotPerturbResults|TimelineDoesNotPerturbResults|TimelineWindowsIdenticalAcrossWorkerCounts|ConcurrentCampaignsIsolated' ./internal/experiments ./internal/sim
+	$(GO) test -run='DeterministicAcrossWorkerCounts|MetricsIdenticalAcrossWorkerCounts|InstrumentationDoesNotPerturbResults|LoggingDoesNotPerturbResults|TimelineDoesNotPerturbResults|TimelineWindowsIdenticalAcrossWorkerCounts|ConcurrentCampaignsIsolated' ./internal/experiments ./internal/sim ./cmd/witag-sim ./cmd/witag-bench

@@ -70,15 +70,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
-	"syscall"
 	"time"
 
 	"witag/internal/buildinfo"
@@ -107,17 +105,9 @@ type benchConfig struct {
 	transfer   string
 	trafficSel string
 	profileDir string
-
-	metricsAddr string
-	tracePath   string
-	traceOut    string
-	traceCap    int
-	progress    bool
-	logPath     string
-	logLevel    string
+	traceOut   string
 
 	timeline     bool
-	timelineWin  int
 	timelineWall time.Duration
 }
 
@@ -134,65 +124,54 @@ func main() {
 	flag.StringVar(&cfg.transfer, "transfer", "all", "transfer scheme for the coding sweep: all, "+strings.Join(experiments.CodingSchemes, ", "))
 	flag.StringVar(&cfg.trafficSel, "traffic", "all", "ambient-traffic profile for the coding sweep: all (the full profile grid), "+strings.Join(traffic.Names(), ", "))
 	flag.StringVar(&cfg.profileDir, "profile", "", "write cpu/heap/allocs pprof profiles per experiment under this directory (empty: off)")
-	flag.StringVar(&cfg.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof/ on this address during the run (empty: off)")
-	flag.StringVar(&cfg.tracePath, "trace", "", "write per-round/per-transfer trace events as JSONL to this file (empty: off)")
 	flag.StringVar(&cfg.traceOut, "trace-out", "", "write one TRACE_<name>.jsonl per experiment under this directory (empty: off)")
-	flag.IntVar(&cfg.traceCap, "trace-cap", obs.DefaultTraceCap, "trace ring capacity in events; oldest events are dropped beyond it")
-	flag.BoolVar(&cfg.progress, "progress", false, "live trial progress (rate, ETA) on stderr")
-	flag.StringVar(&cfg.logPath, "log", "", "write the campaign's structured JSONL log to this file (empty: off)")
-	flag.StringVar(&cfg.logLevel, "log-level", "info", "minimum log level: "+strings.Join(cliflags.LogLevels, ", "))
 	flag.BoolVar(&cfg.timeline, "timeline", false, "write a TL_<name>.jsonl windowed time-series per experiment under -json DIR")
-	flag.IntVar(&cfg.timelineWin, "timeline-window", obs.DefaultTimelineWindow, "completed trials per logical timeline window")
 	flag.DurationVar(&cfg.timelineWall, "timeline-wall", 0, "also sample volatile wall-clock timeline windows at this interval (0: off)")
-	version := flag.Bool("version", false, "print build provenance (git SHA, Go version) and exit")
-	flag.Parse()
-	if *version {
-		buildinfo.Print(os.Stdout, "witag-bench")
-		return
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	if err := run(ctx, cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "witag-bench:", err)
-		os.Exit(1)
-	}
+	rf := &cliflags.Run{Tool: "witag-bench"}
+	rf.RegisterFlags(flag.CommandLine, cliflags.Help{
+		Unit:        "trial",
+		MetricsAddr: "serve /metrics, /debug/vars and /debug/pprof/ on this address during the run (empty: off)",
+		Trace:       "write per-round/per-transfer trace events as JSONL to this file (empty: off)",
+		Log:         "write the campaign's structured JSONL log to this file (empty: off)",
+	})
+	cliflags.Main("witag-bench", func(ctx context.Context) error { return run(ctx, cfg, rf) })
 }
 
-// writeMemProfiles snapshots heap_<name>.pprof and allocs_<name>.pprof
-// under dir after a forced GC, so the heap numbers reflect live data, not
-// whatever the collector hadn't reached yet.
-func writeMemProfiles(dir, name string) error {
+// profiled runs fn under a CPU profile written to cpu_<name>.pprof under
+// dir, then snapshots heap_<name>.pprof and allocs_<name>.pprof after a
+// forced GC, so the heap numbers reflect live data, not whatever the
+// collector hadn't reached yet. An empty dir runs fn unprofiled.
+func profiled(dir, name string, fn func() error) error {
+	if dir == "" {
+		return fn()
+	}
+	cpu, err := os.Create(filepath.Join(dir, "cpu_"+name+".pprof"))
+	if err != nil {
+		return err
+	}
+	if err := pprof.StartCPUProfile(cpu); err != nil {
+		cpu.Close()
+		return err
+	}
+	err = fn()
+	pprof.StopCPUProfile()
+	if cerr := cpu.Close(); err == nil {
+		err = cerr
+	}
 	runtime.GC()
 	for _, kind := range []string{"heap", "allocs"} {
-		p := pprof.Lookup(kind)
-		if p == nil {
-			continue
+		f, perr := os.Create(filepath.Join(dir, kind+"_"+name+".pprof"))
+		if perr == nil {
+			perr = pprof.Lookup(kind).WriteTo(f, 0)
+			if cerr := f.Close(); perr == nil {
+				perr = cerr
+			}
 		}
-		f, err := os.Create(filepath.Join(dir, kind+"_"+name+".pprof"))
-		if err != nil {
-			return err
-		}
-		if err := p.WriteTo(f, 0); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
+		if err == nil {
+			err = perr
 		}
 	}
-	return nil
-}
-
-// logWriter narrows a possibly-nil *os.File to the interface
-// CampaignOptions expects: a nil file must become a nil interface, or
-// the campaign would log into a typed-nil writer.
-func logWriter(f *os.File) io.Writer {
-	if f == nil {
-		return nil
-	}
-	return f
+	return err
 }
 
 // provenance builds the stamp shared by every artifact of this run. The
@@ -218,153 +197,64 @@ func provenance(cfg benchConfig) regress.Provenance {
 	}
 }
 
-func run(ctx context.Context, cfg benchConfig) (err error) {
+// result is what the six regular experiments return: the printed table
+// and the paper's qualitative shape claims.
+type result interface {
+	Render() string
+	ShapeChecks() error
+}
+
+func run(ctx context.Context, cfg benchConfig, rf *cliflags.Run) (err error) {
 	// Up-front flag validation, shared with the other CLIs via
 	// internal/cliflags: reject unknown selectors and unusable paths
 	// before any work, naming the flag and the valid choices — a typo
 	// must not silently run nothing.
-	if verr := cliflags.Choice("-experiment", cfg.experiment, experimentNames, false); verr != nil {
-		return verr
+	for _, v := range []error{
+		cliflags.Choice("-experiment", cfg.experiment, experimentNames, false),
+		cliflags.FaultProfile("-fault", cfg.faultProf, false),
+		cliflags.Choice("-transfer", cfg.transfer, append([]string{"all"}, experiments.CodingSchemes...), false),
+		cliflags.TrafficProfile("-traffic", cfg.trafficSel, false, true),
+	} {
+		if v != nil {
+			return v
+		}
 	}
-	if verr := cliflags.FaultProfile("-fault", cfg.faultProf, false); verr != nil {
-		return verr
-	}
-	if verr := cliflags.Choice("-transfer", cfg.transfer, append([]string{"all"}, experiments.CodingSchemes...), false); verr != nil {
-		return verr
-	}
-	if verr := cliflags.TrafficProfile("-traffic", cfg.trafficSel, false, true); verr != nil {
-		return verr
-	}
-	if cfg.tracePath != "" && cfg.traceOut != "" {
+	if rf.TracePath != "" && cfg.traceOut != "" {
 		return fmt.Errorf("-trace and -trace-out are exclusive: one ring for the whole run, or one per experiment")
 	}
 	if cfg.timeline && cfg.jsonDir == "" {
 		return fmt.Errorf("-timeline writes TL_<name>.jsonl beside the BENCH artifacts and needs -json DIR")
 	}
-	if cfg.timelineWin <= 0 {
-		return fmt.Errorf("-timeline-window must be >= 1, got %d", cfg.timelineWin)
-	}
-	logLevel, verr := cliflags.LogLevel("-log-level", cfg.logLevel)
-	if verr != nil {
-		return verr
-	}
+	// The directories are created first, so -log and -trace may name
+	// files inside them.
 	for _, v := range []error{
 		cliflags.OutputDir("-profile", cfg.profileDir),
 		cliflags.OutputDir("-json", cfg.jsonDir),
 		cliflags.OutputDir("-trace-out", cfg.traceOut),
-		cliflags.OutputFile("-trace", cfg.tracePath),
-		cliflags.OutputFile("-log", cfg.logPath),
-		cliflags.MetricsAddr("-metrics-addr", cfg.metricsAddr),
+		rf.Validate(),
 	} {
 		if v != nil {
 			return v
 		}
 	}
 
-	// Campaign wiring: this invocation is one campaign scope under a
-	// process hub — its own registry, trace ring, progress reporter,
-	// structured logger and SSE event broker. Every system, injector,
-	// transferer and runner the harnesses build is instrumented through
-	// it; attaching it draws no RNG values and changes no output byte.
-	var progress *obs.Progress
-	if cfg.progress {
-		progress = obs.NewProgress(os.Stderr, "trials")
-		defer progress.Finish()
-	}
-	var logFile *os.File
-	if cfg.logPath != "" {
-		logFile, err = os.Create(cfg.logPath)
-		if err != nil {
-			return fmt.Errorf("-log: %w", err)
-		}
-		defer logFile.Close()
-	}
-	traceCap := 0
-	if cfg.tracePath != "" {
-		traceCap = cfg.traceCap
-		if traceCap <= 0 {
-			traceCap = obs.DefaultTraceCap
-		}
-	}
-	hub := obs.NewHub()
-	camp, err := hub.Register("bench", obs.CampaignOptions{
-		TraceCap: traceCap,
-		Progress: progress,
-		LogW:     logWriter(logFile),
-		LogLevel: logLevel,
-	})
+	// Campaign wiring: this invocation is one campaign scope. Every
+	// system, injector, transferer and runner the harnesses build is
+	// instrumented through it; attaching it draws no RNG values and
+	// changes no output byte. The ledger lands beside the BENCH
+	// artifacts (no -json directory, no ledger).
+	runProv := provenance(cfg)
+	rf.LedgerDir, rf.Provenance = cfg.jsonDir, runProv
+	camp, err := rf.Open(ctx, "bench",
+		slog.String("experiment", cfg.experiment), slog.Int64("seed", cfg.seed),
+		slog.Int("runs", cfg.runs), slog.Int("rounds", cfg.rounds))
 	if err != nil {
 		return err
 	}
-	reg, observer, trace := camp.Registry, camp.Observer, camp.Trace
-	defer experiments.SetObserver(experiments.SetObserver(observer))
-	defer experiments.SetProgress(experiments.SetProgress(progress))
+	defer func() { rf.Close(ctx, err) }()
+	defer experiments.SetObserver(experiments.SetObserver(camp.Observer))
 	defer experiments.SetCampaign(experiments.SetCampaign(camp))
-
-	// The run ledger and the final campaign status, written however the
-	// run ends. The ledger lands beside the BENCH artifacts (no -json
-	// directory, no ledger); artifacts collects what the run wrote.
-	var artifacts []string
-	defer func() {
-		camp.Finish(err)
-		outcome := "ok"
-		switch {
-		case err != nil && ctx.Err() != nil:
-			outcome = "cancelled"
-		case err != nil:
-			outcome = "error"
-		}
-		camp.Logger.Info("run finished", slog.String("outcome", outcome), slog.Int64("wall_ms", camp.WallMs()))
-		if cfg.jsonDir == "" {
-			return
-		}
-		rec := obs.RunRecord{
-			Tool: "witag-bench", Campaign: camp.ID, Outcome: outcome,
-			WallMs: camp.WallMs(), Artifacts: artifacts, Provenance: provenance(cfg),
-			Build: buildinfo.Current("witag-bench"),
-		}
-		if err != nil {
-			rec.Error = err.Error()
-		}
-		if lerr := obs.AppendRunRecord(cfg.jsonDir, rec); lerr != nil {
-			fmt.Fprintln(os.Stderr, "witag-bench: ledger:", lerr)
-		}
-	}()
-	camp.Logger.Info("run started",
-		slog.String("experiment", cfg.experiment), slog.Int64("seed", cfg.seed),
-		slog.Int("runs", cfg.runs), slog.Int("rounds", cfg.rounds))
-
-	if cfg.metricsAddr != "" {
-		srv, serr := obs.ServeHub(cfg.metricsAddr, hub)
-		if serr != nil {
-			return serr
-		}
-		// Tear the listener down on Ctrl-C too, not only on return — Close
-		// is idempotent, so the AfterFunc and the defer can race safely.
-		unhook := context.AfterFunc(ctx, func() { hub.CloseAll(); srv.Close() })
-		defer unhook()
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics (also /campaigns, /campaigns/%s/events, /debug/pprof/)\n", srv.Addr, camp.ID)
-	}
-	if cfg.tracePath != "" {
-		defer func() {
-			f, err := os.Create(cfg.tracePath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "witag-bench: trace:", err)
-				return
-			}
-			defer f.Close()
-			if err := trace.WriteJSONL(f); err != nil {
-				fmt.Fprintln(os.Stderr, "witag-bench: trace:", err)
-				return
-			}
-			if d := trace.Dropped(); d > 0 {
-				fmt.Fprintf(os.Stderr, "trace: wrote %d events to %s (%d older events dropped; raise -trace-cap)\n", trace.Len(), cfg.tracePath, d)
-			} else {
-				fmt.Fprintf(os.Stderr, "trace: wrote %d events to %s\n", trace.Len(), cfg.tracePath)
-			}
-		}()
-	}
+	reg := camp.Registry
 
 	// emit writes an experiment's series plus the metrics-registry delta
 	// accumulated since the previous experiment finished, both wrapped in
@@ -372,7 +262,6 @@ func run(ctx context.Context, cfg benchConfig) (err error) {
 	// phase-attribution profile as PROF_<name>.json. The trial count is
 	// the runner's own tally for this experiment, read from the delta.
 	lastSnap := reg.Snapshot()
-	runProv := provenance(cfg)
 	emit := func(name string, v any) error {
 		now := reg.Snapshot()
 		delta := now.Delta(lastSnap)
@@ -385,13 +274,7 @@ func run(ctx context.Context, cfg benchConfig) (err error) {
 		// crept into the trials. Analytic experiments (fig3, s41, compare)
 		// record no spans at all and stay quiet — losing instrumentation
 		// entirely is the gate's structural check, not this warning.
-		spansFired := false
-		for _, ps := range rep.Phases {
-			if ps.Count > 0 {
-				spansFired = true
-				break
-			}
-		}
+		spansFired := slices.ContainsFunc(rep.Phases, func(ps perf.PhaseStat) bool { return ps.Count > 0 })
 		if spansFired && rep.Trials > 0 && rep.Coverage < 0.9 {
 			fmt.Fprintf(os.Stderr, "perf: %s: spans attribute only %.1f%% of trial wall time\n", name, 100*rep.Coverage)
 		}
@@ -416,12 +299,11 @@ func run(ctx context.Context, cfg benchConfig) (err error) {
 		if err := regress.WriteProf(cfg.jsonDir, name, prov, rep); err != nil {
 			return err
 		}
-		artifacts = append(artifacts,
+		rf.Artifacts = append(rf.Artifacts,
 			"BENCH_"+name+".json", "BENCH_"+name+".metrics.json", "PROF_"+name+".json")
 		return nil
 	}
 
-	all := cfg.experiment == "all"
 	seed, runs, rounds, parallel := cfg.seed, cfg.runs, cfg.rounds, cfg.parallel
 
 	// runExperiment runs one experiment under the right observer. With
@@ -431,21 +313,18 @@ func run(ctx context.Context, cfg benchConfig) (err error) {
 	// -timeline, the experiment gets its own fresh timeline attached to
 	// the campaign (every runner under it then samples windowed deltas),
 	// written as TL_<name>.jsonl beside the BENCH artifacts.
-	runExperiment := func(name string, fn func(runner sim.Runner) error) error {
-		if !all && cfg.experiment != name {
-			return nil
-		}
+	runExperiment := func(name string, fn func(name string, runner sim.Runner) error) error {
 		camp.Logger.Info("experiment started", slog.String("experiment", name))
-		o := observer
+		o := camp.Observer
 		var rec *obs.Recorder
 		if cfg.traceOut != "" {
-			rec = obs.NewRecorder(cfg.traceCap)
+			rec = obs.NewRecorder(rf.TraceCap)
 			o = obs.NewObserver(reg, rec)
 		}
 		var tl *obs.Timeline
 		stopWall := func() {}
 		if cfg.timeline {
-			tl = obs.NewTimeline(reg, obs.TimelineConfig{WindowTrials: cfg.timelineWin})
+			tl = obs.NewTimeline(reg, obs.TimelineConfig{WindowTrials: rf.TimelineWindow})
 			camp.SetTimeline(tl)
 			if cfg.timelineWall > 0 {
 				stopWall = tl.StartWallSampler(cfg.timelineWall)
@@ -456,30 +335,9 @@ func run(ctx context.Context, cfg benchConfig) (err error) {
 			}()
 		}
 		prev := experiments.SetObserver(o)
-		var cpuFile *os.File
-		if cfg.profileDir != "" {
-			var perr error
-			cpuFile, perr = os.Create(filepath.Join(cfg.profileDir, "cpu_"+name+".pprof"))
-			if perr != nil {
-				experiments.SetObserver(prev)
-				return perr
-			}
-			if perr := pprof.StartCPUProfile(cpuFile); perr != nil {
-				cpuFile.Close()
-				experiments.SetObserver(prev)
-				return perr
-			}
-		}
-		err := fn(sim.Runner{Workers: parallel, Obs: o, Progress: progress, Campaign: camp})
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			if cerr := cpuFile.Close(); err == nil && cerr != nil {
-				err = cerr
-			}
-			if perr := writeMemProfiles(cfg.profileDir, name); err == nil && perr != nil {
-				err = perr
-			}
-		}
+		err := profiled(cfg.profileDir, name, func() error {
+			return fn(name, sim.Runner{Workers: parallel, Obs: o, Campaign: camp})
+		})
 		experiments.SetObserver(prev)
 		if err != nil {
 			return err
@@ -487,233 +345,141 @@ func run(ctx context.Context, cfg benchConfig) (err error) {
 		if tl != nil {
 			stopWall()
 			tl.Flush()
-			path := filepath.Join(cfg.jsonDir, "TL_"+name+".jsonl")
-			f, terr := os.Create(path)
-			if terr != nil {
-				return terr
+			if err := cliflags.WriteTimeline(filepath.Join(cfg.jsonDir, "TL_"+name+".jsonl"), tl); err != nil {
+				return err
 			}
-			if terr := tl.WriteJSONL(f); terr != nil {
-				f.Close()
-				return terr
-			}
-			if terr := f.Close(); terr != nil {
-				return terr
-			}
-			artifacts = append(artifacts, "TL_"+name+".jsonl")
-			if d := tl.Dropped(); d > 0 {
-				fmt.Fprintf(os.Stderr, "timeline: wrote %d windows to %s (%d older windows dropped)\n", tl.Total()-d, path, d)
-			}
+			rf.Artifacts = append(rf.Artifacts, "TL_"+name+".jsonl")
 		}
 		if rec == nil {
 			return nil
 		}
-		if err := os.MkdirAll(cfg.traceOut, 0o755); err != nil {
-			return err
-		}
 		path := filepath.Join(cfg.traceOut, "TRACE_"+name+".jsonl")
-		artifacts = append(artifacts, path)
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := rec.WriteJSONL(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		if d := rec.Dropped(); d > 0 {
-			fmt.Fprintf(os.Stderr, "trace: wrote %d events to %s (%d older events dropped; raise -trace-cap)\n", rec.Len(), path, d)
-		} else {
-			fmt.Fprintf(os.Stderr, "trace: wrote %d events to %s\n", rec.Len(), path)
-		}
-		return nil
+		rf.Artifacts = append(rf.Artifacts, path)
+		return cliflags.WriteTrace(path, rec)
 	}
 
-	if err := runExperiment("fig3", func(sim.Runner) error {
-		res, err := experiments.Figure3Ctx(ctx, seed, parallel)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		if err := res.ShapeChecks(); err != nil {
-			return err
-		}
-		return emit("fig3", res)
-	}); err != nil {
-		return err
-	}
-	if err := runExperiment("fig5", func(sim.Runner) error {
-		res, err := experiments.Figure5Ctx(ctx, experiments.Figure5Config{Seed: seed, Runs: runs, Round: rounds, Workers: parallel})
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		if err := res.ShapeChecks(); err != nil {
-			return err
-		}
-		return emit("fig5", res)
-	}); err != nil {
-		return err
-	}
-	if err := runExperiment("fig6", func(sim.Runner) error {
-		fcfg := experiments.DefaultFigure6Config()
-		fcfg.Seed = seed
-		fcfg.Workers = parallel
-		fcfg.Round = rounds / 2
-		if fcfg.Round < 10 {
-			fcfg.Round = 10
-		}
-		a, err := experiments.Figure6Ctx(ctx, experiments.LocationA, fcfg)
-		if err != nil {
-			return err
-		}
-		fcfg.Seed = seed + 1
-		b, err := experiments.Figure6Ctx(ctx, experiments.LocationB, fcfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(a.Render())
-		fmt.Println(b.Render())
-		if err := experiments.CheckFigure6Shape(a, b); err != nil {
-			return err
-		}
-		return emit("fig6", map[string]experiments.Figure6Series{"A": a.Series(), "B": b.Series()})
-	}); err != nil {
-		return err
-	}
-	if err := runExperiment("s41", func(sim.Runner) error {
-		res, err := experiments.Section41SweepCtx(ctx, parallel)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		if err := res.ShapeChecks(); err != nil {
-			return err
-		}
-		return emit("s41", res)
-	}); err != nil {
-		return err
-	}
-	if err := runExperiment("compare", func(sim.Runner) error {
-		res, err := experiments.PriorSystemComparison(seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		if err := res.ShapeChecks(); err != nil {
-			return err
-		}
-		return emit("compare", res)
-	}); err != nil {
-		return err
-	}
-	if err := runExperiment("power", func(runner sim.Runner) error {
-		res, err := experiments.Section7PowerCtx(ctx, runner, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		if err := res.ShapeChecks(); err != nil {
-			return err
-		}
-		return emit("power", res)
-	}); err != nil {
-		return err
-	}
-	if err := runExperiment("ablations", func(runner sim.Runner) error {
-		type ablation struct {
-			name string
-			run  func() (*experiments.AblationResult, error)
-		}
-		ablationSeries := map[string]*experiments.AblationResult{}
-		for _, a := range []ablation{
-			{"switch mode", func() (*experiments.AblationResult, error) {
-				return experiments.AblationSwitchModeCtx(ctx, runner, seed, rounds/2)
-			}},
-			{"trigger count", func() (*experiments.AblationResult, error) {
-				return experiments.AblationTriggerCountCtx(ctx, runner, seed, rounds/4)
-			}},
-			{"FEC framing", func() (*experiments.AblationResult, error) {
-				return experiments.AblationFECCtx(ctx, runner, seed, 6)
-			}},
-			{"A-MPDU size", func() (*experiments.AblationResult, error) {
-				return experiments.AblationAMPDUSizeCtx(ctx, runner, seed, rounds/4)
-			}},
-			{"robust rate", func() (*experiments.AblationResult, error) {
-				return experiments.AblationRobustRateCtx(ctx, runner, seed, rounds/4)
-			}},
-			{"encryption", func() (*experiments.AblationResult, error) {
-				return experiments.AblationEncryptionCtx(ctx, runner, seed, rounds/4)
-			}},
-		} {
-			res, err := a.run()
+	// The six regular experiments print their table, assert the paper's
+	// shape and emit the result itself as the series.
+	shaped := func(fn func(sim.Runner) (result, error)) func(string, sim.Runner) error {
+		return func(name string, runner sim.Runner) error {
+			res, err := fn(runner)
 			if err != nil {
-				return fmt.Errorf("%s: %w", a.name, err)
+				return err
 			}
 			fmt.Println(res.Render())
-			ablationSeries[a.name] = res
-		}
-		return emit("ablations", ablationSeries)
-	}); err != nil {
-		return err
-	}
-	if err := runExperiment("robustness", func(sim.Runner) error {
-		rcfg := experiments.DefaultRobustnessConfig()
-		rcfg.Seed = seed
-		rcfg.Workers = parallel
-		rcfg.BaseProfile = cfg.faultProf
-		rcfg.Transfers = cfg.transfers
-		res, err := experiments.RobustnessCtx(ctx, rcfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		if err := res.ShapeChecks(); err != nil {
-			return err
-		}
-		return emit("robustness", res)
-	}); err != nil {
-		return err
-	}
-	if err := runExperiment("coding", func(sim.Runner) error {
-		ccfg := experiments.DefaultAdaptiveCodingConfig()
-		ccfg.Seed = seed
-		ccfg.Workers = parallel
-		full := cfg.transfer == "all" && cfg.trafficSel == "all"
-		if cfg.transfer != "all" {
-			ccfg.Schemes = []string{cfg.transfer}
-		}
-		if cfg.trafficSel != "all" {
-			// Narrow the grid to the profiles composed with the selected
-			// ambient-traffic preset.
-			var kept []experiments.CodingProfile
-			for _, p := range ccfg.Profiles {
-				if p.Traffic == cfg.trafficSel {
-					kept = append(kept, p)
-				}
-			}
-			if len(kept) == 0 {
-				return fmt.Errorf("no coding profile uses traffic %q", cfg.trafficSel)
-			}
-			ccfg.Profiles = kept
-		}
-		res, err := experiments.AdaptiveCodingCtx(ctx, ccfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		// The shape claims compare all three schemes across the full grid;
-		// a -transfer/-traffic narrowed run is exploration, not a gate.
-		if full {
 			if err := res.ShapeChecks(); err != nil {
 				return err
 			}
+			return emit(name, res)
 		}
-		return emit("coding", res)
-	}); err != nil {
-		return err
+	}
+	for _, e := range []struct {
+		name string
+		run  func(name string, runner sim.Runner) error
+	}{
+		{"fig3", shaped(func(sim.Runner) (result, error) { return experiments.Figure3Ctx(ctx, seed, parallel) })},
+		{"fig5", shaped(func(sim.Runner) (result, error) {
+			return experiments.Figure5Ctx(ctx, experiments.Figure5Config{Seed: seed, Runs: runs, Round: rounds, Workers: parallel})
+		})},
+		{"fig6", func(name string, _ sim.Runner) error {
+			fcfg := experiments.DefaultFigure6Config()
+			fcfg.Seed = seed
+			fcfg.Workers = parallel
+			fcfg.Round = max(rounds/2, 10)
+			a, err := experiments.Figure6Ctx(ctx, experiments.LocationA, fcfg)
+			if err != nil {
+				return err
+			}
+			fcfg.Seed = seed + 1
+			b, err := experiments.Figure6Ctx(ctx, experiments.LocationB, fcfg)
+			if err != nil {
+				return err
+			}
+			fmt.Println(a.Render())
+			fmt.Println(b.Render())
+			if err := experiments.CheckFigure6Shape(a, b); err != nil {
+				return err
+			}
+			return emit(name, map[string]experiments.Figure6Series{"A": a.Series(), "B": b.Series()})
+		}},
+		{"s41", shaped(func(sim.Runner) (result, error) { return experiments.Section41SweepCtx(ctx, parallel) })},
+		{"compare", shaped(func(sim.Runner) (result, error) { return experiments.PriorSystemComparison(seed) })},
+		{"power", shaped(func(runner sim.Runner) (result, error) { return experiments.Section7PowerCtx(ctx, runner, seed) })},
+		{"ablations", func(name string, runner sim.Runner) error {
+			ablationSeries := map[string]*experiments.AblationResult{}
+			for _, a := range []struct {
+				name string
+				run  func(context.Context, sim.Runner, int64, int) (*experiments.AblationResult, error)
+				n    int // rounds per point (FEC framing: frames)
+			}{
+				{"switch mode", experiments.AblationSwitchModeCtx, rounds / 2},
+				{"trigger count", experiments.AblationTriggerCountCtx, rounds / 4},
+				{"FEC framing", experiments.AblationFECCtx, 6},
+				{"A-MPDU size", experiments.AblationAMPDUSizeCtx, rounds / 4},
+				{"robust rate", experiments.AblationRobustRateCtx, rounds / 4},
+				{"encryption", experiments.AblationEncryptionCtx, rounds / 4},
+			} {
+				res, err := a.run(ctx, runner, seed, a.n)
+				if err != nil {
+					return fmt.Errorf("%s: %w", a.name, err)
+				}
+				fmt.Println(res.Render())
+				ablationSeries[a.name] = res
+			}
+			return emit(name, ablationSeries)
+		}},
+		{"robustness", shaped(func(sim.Runner) (result, error) {
+			rcfg := experiments.DefaultRobustnessConfig()
+			rcfg.Seed = seed
+			rcfg.Workers = parallel
+			rcfg.BaseProfile = cfg.faultProf
+			rcfg.Transfers = cfg.transfers
+			return experiments.RobustnessCtx(ctx, rcfg)
+		})},
+		{"coding", func(name string, _ sim.Runner) error {
+			ccfg := experiments.DefaultAdaptiveCodingConfig()
+			ccfg.Seed = seed
+			ccfg.Workers = parallel
+			full := cfg.transfer == "all" && cfg.trafficSel == "all"
+			if cfg.transfer != "all" {
+				ccfg.Schemes = []string{cfg.transfer}
+			}
+			if cfg.trafficSel != "all" {
+				// Narrow the grid to the profiles composed with the
+				// selected ambient-traffic preset.
+				var kept []experiments.CodingProfile
+				for _, p := range ccfg.Profiles {
+					if p.Traffic == cfg.trafficSel {
+						kept = append(kept, p)
+					}
+				}
+				if len(kept) == 0 {
+					return fmt.Errorf("no coding profile uses traffic %q", cfg.trafficSel)
+				}
+				ccfg.Profiles = kept
+			}
+			res, err := experiments.AdaptiveCodingCtx(ctx, ccfg)
+			if err != nil {
+				return err
+			}
+			fmt.Println(res.Render())
+			// The shape claims compare all three schemes across the full
+			// grid; a -transfer/-traffic narrowed run is exploration, not
+			// a gate.
+			if full {
+				if err := res.ShapeChecks(); err != nil {
+					return err
+				}
+			}
+			return emit(name, res)
+		}},
+	} {
+		if cfg.experiment != "all" && cfg.experiment != e.name {
+			continue
+		}
+		if err := runExperiment(e.name, e.run); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -44,22 +44,17 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"syscall"
 
-	"witag/internal/buildinfo"
 	"witag/internal/channel"
 	"witag/internal/cliflags"
-	"witag/internal/coding"
 	"witag/internal/core"
 	"witag/internal/crypto80211"
 	"witag/internal/experiments"
@@ -72,77 +67,45 @@ import (
 )
 
 func main() {
-	var (
-		apFlag      = flag.String("ap", "8,0", "AP position as x,y metres")
-		tagFlag     = flag.String("tag", "1,0.3", "tag position as x,y metres")
-		wallsFlag   = flag.String("walls", "", "comma-separated x:attenuationDb vertical walls")
-		cipherFlag  = flag.String("cipher", "open", "link cipher: open, wep, ccmp")
-		faultFlag   = flag.String("fault", "", "fault profile injecting burst interference: "+strings.Join(fault.Names(), ", ")+" (empty: clean channel)")
-		trafficFlag = flag.String("traffic", "", "ambient-traffic profile masking colliding subframes: "+strings.Join(traffic.Names(), ", ")+" (empty: no ambient load)")
-		xferFlag    = flag.String("transfer", "", "measure payload transfers instead of raw rounds, using this scheme: "+strings.Join(experiments.CodingSchemes, ", ")+" (empty: round campaign)")
-		payloadLen  = flag.Int("payload", 96, "payload bytes per transfer (with -transfer)")
-		gain        = flag.Float64("gain", experiments.TagGain, "tag effective reflection gain")
-		rounds      = flag.Int("rounds", 1000, "query rounds per run")
-		runs        = flag.Int("runs", 1, "independent measurement runs")
-		parallel    = flag.Int("parallel", 0, "concurrent trial workers; <= 0 means all CPUs")
-		seed        = flag.Int64("seed", 1, "root random seed")
-		tempC       = flag.Float64("temp", 25, "ambient temperature °C")
-
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /campaigns and /debug/pprof/ on this address during the run (empty: off)")
-		tracePath   = flag.String("trace", "", "write per-round trace events as JSONL to this file (empty: off)")
-		traceCap    = flag.Int("trace-cap", obs.DefaultTraceCap, "trace ring capacity in events; oldest events are dropped beyond it")
-		progress    = flag.Bool("progress", false, "live run progress (rate, ETA) on stderr")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file (empty: off)")
-		memProfile  = flag.String("memprofile", "", "write an allocation profile at campaign end to this file (empty: off)")
-		logPath     = flag.String("log", "", "write the campaign's structured JSONL log to this file and a RUNS.jsonl ledger beside it (empty: off)")
-		logLevel    = flag.String("log-level", "info", "minimum log level: "+strings.Join(cliflags.LogLevels, ", "))
-		tlPath      = flag.String("timeline", "", "write a windowed metric time-series as JSONL to this file (empty: off)")
-		tlWindow    = flag.Int("timeline-window", obs.DefaultTimelineWindow, "completed runs per logical timeline window")
-		version     = flag.Bool("version", false, "print build provenance (git SHA, Go version) and exit")
-	)
-	flag.Parse()
-	if *version {
-		buildinfo.Print(os.Stdout, "witag-sim")
-		return
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	cfg := deployment{
-		apStr: *apFlag, tagStr: *tagFlag, wallsStr: *wallsFlag,
-		cipherStr: *cipherFlag, faultStr: *faultFlag, trafficStr: *trafficFlag,
-		xferStr: *xferFlag, payloadLen: *payloadLen, gain: *gain, tempC: *tempC,
-	}
-	ocfg := obsConfig{metricsAddr: *metricsAddr, tracePath: *tracePath, traceCap: *traceCap, progress: *progress,
-		cpuProfile: *cpuProfile, memProfile: *memProfile, logPath: *logPath, logLevel: *logLevel,
-		tlPath: *tlPath, tlWindow: *tlWindow}
-	if err := run(ctx, cfg, ocfg, *rounds, *runs, *parallel, *seed); err != nil {
-		fmt.Fprintln(os.Stderr, "witag-sim:", err)
-		os.Exit(1)
-	}
+	var cfg config
+	flag.StringVar(&cfg.apStr, "ap", "8,0", "AP position as x,y metres")
+	flag.StringVar(&cfg.tagStr, "tag", "1,0.3", "tag position as x,y metres")
+	flag.StringVar(&cfg.wallsStr, "walls", "", "comma-separated x:attenuationDb vertical walls")
+	flag.StringVar(&cfg.cipherStr, "cipher", "open", "link cipher: open, wep, ccmp")
+	flag.StringVar(&cfg.faultStr, "fault", "", "fault profile injecting burst interference: "+strings.Join(fault.Names(), ", ")+" (empty: clean channel)")
+	flag.StringVar(&cfg.trafficStr, "traffic", "", "ambient-traffic profile masking colliding subframes: "+strings.Join(traffic.Names(), ", ")+" (empty: no ambient load)")
+	flag.StringVar(&cfg.xferStr, "transfer", "", "measure payload transfers instead of raw rounds, using this scheme: "+strings.Join(experiments.CodingSchemes, ", ")+" (empty: round campaign)")
+	flag.IntVar(&cfg.payloadLen, "payload", 96, "payload bytes per transfer (with -transfer)")
+	flag.Float64Var(&cfg.gain, "gain", experiments.TagGain, "tag effective reflection gain")
+	flag.IntVar(&cfg.rounds, "rounds", 1000, "query rounds per run")
+	flag.IntVar(&cfg.runs, "runs", 1, "independent measurement runs")
+	flag.IntVar(&cfg.parallel, "parallel", 0, "concurrent trial workers; <= 0 means all CPUs")
+	flag.Int64Var(&cfg.seed, "seed", 1, "root random seed")
+	flag.Float64Var(&cfg.tempC, "temp", 25, "ambient temperature °C")
+	flag.StringVar(&cfg.cpuProfile, "cpuprofile", "", "write a CPU profile of the campaign to this file (empty: off)")
+	flag.StringVar(&cfg.memProfile, "memprofile", "", "write an allocation profile at campaign end to this file (empty: off)")
+	rf := &cliflags.Run{Tool: "witag-sim"}
+	rf.RegisterFlags(flag.CommandLine, cliflags.Help{
+		Unit:        "run",
+		MetricsAddr: "serve /metrics, /campaigns and /debug/pprof/ on this address during the run (empty: off)",
+		Trace:       "write per-round trace events as JSONL to this file (empty: off)",
+		Log:         "write the campaign's structured JSONL log to this file and a RUNS.jsonl ledger beside it (empty: off)",
+	})
+	flag.StringVar(&rf.TimelinePath, "timeline", "", "write a windowed metric time-series as JSONL to this file (empty: off)")
+	cliflags.Main("witag-sim", func(ctx context.Context) error { return run(ctx, cfg, rf) })
 }
 
-// obsConfig carries the observability flags.
-type obsConfig struct {
-	metricsAddr string
-	tracePath   string
-	traceCap    int
-	progress    bool
-	cpuProfile  string
-	memProfile  string
-	logPath     string
-	logLevel    string
-	tlPath      string
-	tlWindow    int
-}
-
-// deployment is the flag-specified scenario, buildable once per run.
-type deployment struct {
-	apStr, tagStr, wallsStr, cipherStr, faultStr string
-	trafficStr, xferStr                          string
-	payloadLen                                   int
-	gain, tempC                                  float64
+// config is the whole invocation: the flag-specified deployment,
+// buildable once per run, plus the campaign shape and the profile paths
+// this tool owns.
+type config struct {
+	apStr, tagStr, wallsStr, cipherStr string
+	faultStr, trafficStr, xferStr      string
+	payloadLen                         int
+	gain, tempC                        float64
+	rounds, runs, parallel             int
+	seed                               int64
+	cpuProfile, memProfile             string
 }
 
 func parsePoint(s string) (channel.Point, error) {
@@ -162,7 +125,7 @@ func parsePoint(s string) (channel.Point, error) {
 }
 
 // build constructs one run's deployment from its labeled seed.
-func (d deployment) build(envSeed int64) (*core.System, *channel.Environment, error) {
+func (d config) build(envSeed int64) (*core.System, *channel.Environment, error) {
 	ap, err := parsePoint(d.apStr)
 	if err != nil {
 		return nil, nil, err
@@ -244,50 +207,34 @@ func (d deployment) build(envSeed int64) (*core.System, *channel.Environment, er
 	return sys, env, nil
 }
 
-func run(ctx context.Context, cfg deployment, ocfg obsConfig, rounds, runs, parallel int, seed int64) (err error) {
-	if runs < 1 {
-		return fmt.Errorf("need at least 1 run, got %d", runs)
+func run(ctx context.Context, cfg config, rf *cliflags.Run) (err error) {
+	if cfg.runs < 1 {
+		return fmt.Errorf("need at least 1 run, got %d", cfg.runs)
 	}
 	// Up-front flag validation, shared with the other CLIs via
 	// internal/cliflags: reject unknown selectors and unusable paths
 	// before any work — a typo must produce a usage error, never a
 	// partial campaign.
-	if verr := cliflags.FaultProfile("-fault", cfg.faultStr, true); verr != nil {
-		return verr
-	}
-	if verr := cliflags.TrafficProfile("-traffic", cfg.trafficStr, true, false); verr != nil {
-		return verr
-	}
-	if verr := cliflags.Choice("-transfer", cfg.xferStr, experiments.CodingSchemes, true); verr != nil {
-		return verr
-	}
-	if cfg.xferStr != "" && (cfg.payloadLen < 1 || cfg.payloadLen > link.MaxTransfer) {
-		return fmt.Errorf("payload %d bytes outside [1,%d]", cfg.payloadLen, link.MaxTransfer)
-	}
-	logLevel, verr := cliflags.LogLevel("-log-level", ocfg.logLevel)
-	if verr != nil {
-		return verr
-	}
 	for _, v := range []error{
-		cliflags.OutputFile("-trace", ocfg.tracePath),
-		cliflags.OutputFile("-cpuprofile", ocfg.cpuProfile),
-		cliflags.OutputFile("-memprofile", ocfg.memProfile),
-		cliflags.OutputFile("-log", ocfg.logPath),
-		cliflags.OutputFile("-timeline", ocfg.tlPath),
-		cliflags.MetricsAddr("-metrics-addr", ocfg.metricsAddr),
+		cliflags.FaultProfile("-fault", cfg.faultStr, true),
+		cliflags.TrafficProfile("-traffic", cfg.trafficStr, true, false),
+		cliflags.Choice("-transfer", cfg.xferStr, experiments.CodingSchemes, true),
+		cliflags.OutputFile("-cpuprofile", cfg.cpuProfile),
+		cliflags.OutputFile("-memprofile", cfg.memProfile),
+		rf.Validate(),
 	} {
 		if v != nil {
 			return v
 		}
 	}
-	if ocfg.tlWindow <= 0 {
-		return fmt.Errorf("-timeline-window must be >= 1, got %d", ocfg.tlWindow)
+	if cfg.xferStr != "" && (cfg.payloadLen < 1 || cfg.payloadLen > link.MaxTransfer) {
+		return fmt.Errorf("payload %d bytes outside [1,%d]", cfg.payloadLen, link.MaxTransfer)
 	}
 
 	// Same contract for profile paths: an unwritable -cpuprofile or
 	// -memprofile must fail now, never after minutes of simulation.
-	if ocfg.cpuProfile != "" {
-		f, err := os.Create(ocfg.cpuProfile)
+	if cfg.cpuProfile != "" {
+		f, err := os.Create(cfg.cpuProfile)
 		if err != nil {
 			return fmt.Errorf("cpuprofile: %w", err)
 		}
@@ -300,8 +247,8 @@ func run(ctx context.Context, cfg deployment, ocfg obsConfig, rounds, runs, para
 			f.Close()
 		}()
 	}
-	if ocfg.memProfile != "" {
-		f, err := os.Create(ocfg.memProfile)
+	if cfg.memProfile != "" {
+		f, err := os.Create(cfg.memProfile)
 		if err != nil {
 			return fmt.Errorf("memprofile: %w", err)
 		}
@@ -316,175 +263,58 @@ func run(ctx context.Context, cfg deployment, ocfg obsConfig, rounds, runs, para
 		}()
 	}
 
-	// Campaign wiring: this invocation is one campaign scope under a
-	// process hub — its own registry, trace ring, progress reporter,
-	// structured logger and SSE event broker, attached to every run's
-	// system at build time. Attaching draws no RNG values, so the
-	// measurements below are byte-identical with or without it.
-	var prog *obs.Progress
-	if ocfg.progress {
-		prog = obs.NewProgress(os.Stderr, "runs")
-		defer prog.Finish()
+	// The run ledger lands beside the -log file (no -log, no ledger) and
+	// lists every file the run writes.
+	if rf.LogPath != "" {
+		rf.LedgerDir = filepath.Dir(rf.LogPath)
 	}
-	var logFile *os.File
-	if ocfg.logPath != "" {
-		logFile, err = os.Create(ocfg.logPath)
-		if err != nil {
-			return fmt.Errorf("-log: %w", err)
-		}
-		defer logFile.Close()
-	}
-	campTraceCap := 0
-	if ocfg.tracePath != "" {
-		campTraceCap = ocfg.traceCap
-		if campTraceCap <= 0 {
-			campTraceCap = obs.DefaultTraceCap
+	for _, path := range []string{rf.TracePath, rf.TimelinePath, cfg.cpuProfile, cfg.memProfile, rf.LogPath} {
+		if path != "" {
+			rf.Artifacts = append(rf.Artifacts, path)
 		}
 	}
-	hub := obs.NewHub()
-	camp, err := hub.Register("sim", obs.CampaignOptions{
-		TraceCap: campTraceCap,
-		Progress: prog,
-		LogW:     logWriter(logFile),
-		LogLevel: logLevel,
-	})
+	rf.Provenance = simProvenance{
+		GoVersion: runtime.Version(), AP: cfg.apStr, Tag: cfg.tagStr,
+		Cipher: cfg.cipherStr, Fault: cfg.faultStr, Traffic: cfg.trafficStr,
+		Transfer: cfg.xferStr, Rounds: cfg.rounds, Runs: cfg.runs, Seed: cfg.seed,
+	}
+	camp, err := rf.Open(ctx, "sim",
+		slog.String("ap", cfg.apStr), slog.String("tag", cfg.tagStr),
+		slog.String("cipher", cfg.cipherStr), slog.Int64("seed", cfg.seed),
+		slog.Int("runs", cfg.runs), slog.Int("rounds", cfg.rounds))
 	if err != nil {
 		return err
 	}
-	observer, trace := camp.Observer, camp.Trace
-	var tl *obs.Timeline
-	if ocfg.tlPath != "" {
-		tl = obs.NewTimeline(camp.Registry, obs.TimelineConfig{WindowTrials: ocfg.tlWindow})
-		camp.SetTimeline(tl)
-		defer func() {
-			tl.Flush()
-			f, terr := os.Create(ocfg.tlPath)
-			if terr != nil {
-				fmt.Fprintln(os.Stderr, "witag-sim: timeline:", terr)
-				return
-			}
-			defer f.Close()
-			if terr := tl.WriteJSONL(f); terr != nil {
-				fmt.Fprintln(os.Stderr, "witag-sim: timeline:", terr)
-			}
-		}()
-	}
-
-	// Run ledger and final campaign status, written however the run
-	// ends. The ledger lands beside the -log file (no -log, no ledger);
-	// artifacts collects what the run wrote.
-	var artifacts []string
-	if ocfg.tracePath != "" {
-		artifacts = append(artifacts, ocfg.tracePath)
-	}
-	if ocfg.tlPath != "" {
-		artifacts = append(artifacts, ocfg.tlPath)
-	}
-	if ocfg.cpuProfile != "" {
-		artifacts = append(artifacts, ocfg.cpuProfile)
-	}
-	if ocfg.memProfile != "" {
-		artifacts = append(artifacts, ocfg.memProfile)
-	}
-	if ocfg.logPath != "" {
-		artifacts = append(artifacts, ocfg.logPath)
-	}
-	defer func() {
-		camp.Finish(err)
-		outcome := "ok"
-		switch {
-		case err != nil && ctx.Err() != nil:
-			outcome = "cancelled"
-		case err != nil:
-			outcome = "error"
-		}
-		camp.Logger.Info("run finished", slog.String("outcome", outcome), slog.Int64("wall_ms", camp.WallMs()))
-		if ocfg.logPath == "" {
-			return
-		}
-		rec := obs.RunRecord{
-			Tool: "witag-sim", Campaign: camp.ID, Outcome: outcome,
-			WallMs: camp.WallMs(), Artifacts: artifacts,
-			Build: buildinfo.Current("witag-sim"),
-			Provenance: simProvenance{
-				GoVersion: runtime.Version(), AP: cfg.apStr, Tag: cfg.tagStr,
-				Cipher: cfg.cipherStr, Fault: cfg.faultStr, Traffic: cfg.trafficStr,
-				Transfer: cfg.xferStr, Rounds: rounds, Runs: runs, Seed: seed,
-			},
-		}
-		if err != nil {
-			rec.Error = err.Error()
-		}
-		if lerr := obs.AppendRunRecord(filepath.Dir(ocfg.logPath), rec); lerr != nil {
-			fmt.Fprintln(os.Stderr, "witag-sim: ledger:", lerr)
-		}
-	}()
-	camp.Logger.Info("run started",
-		slog.String("ap", cfg.apStr), slog.String("tag", cfg.tagStr),
-		slog.String("cipher", cfg.cipherStr), slog.Int64("seed", seed),
-		slog.Int("runs", runs), slog.Int("rounds", rounds))
-
-	if ocfg.metricsAddr != "" {
-		srv, serr := obs.ServeHub(ocfg.metricsAddr, hub)
-		if serr != nil {
-			return serr
-		}
-		// Close on signal as well as on return: a ^C mid-campaign must
-		// release the listener promptly, not only once run() unwinds.
-		// Server.Close is idempotent, so the two paths race safely.
-		unhook := context.AfterFunc(ctx, func() { hub.CloseAll(); srv.Close() })
-		defer unhook()
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics (also /campaigns, /campaigns/%s/events, /debug/pprof/)\n", srv.Addr, camp.ID)
-	}
-	if ocfg.tracePath != "" {
-		defer func() {
-			f, err := os.Create(ocfg.tracePath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "witag-sim: trace:", err)
-				return
-			}
-			defer f.Close()
-			if err := trace.WriteJSONL(f); err != nil {
-				fmt.Fprintln(os.Stderr, "witag-sim: trace:", err)
-				return
-			}
-			if d := trace.Dropped(); d > 0 {
-				fmt.Fprintf(os.Stderr, "trace: wrote %d events to %s (%d older events dropped; raise -trace-cap)\n", trace.Len(), ocfg.tracePath, d)
-			} else {
-				fmt.Fprintf(os.Stderr, "trace: wrote %d events to %s\n", trace.Len(), ocfg.tracePath)
-			}
-		}()
-	}
+	defer func() { rf.Close(ctx, err) }()
 
 	if cfg.xferStr != "" {
-		return runTransfers(ctx, cfg, camp, runs, parallel, seed)
+		return runTransfers(ctx, cfg, camp)
 	}
 
-	trials := make([]sim.Trial, runs)
+	trials := make([]sim.Trial, cfg.runs)
 	for i := range trials {
 		runLabel := fmt.Sprintf("run=%d", i)
 		trials[i] = sim.Trial{
 			Build: func() (*core.System, *channel.Environment, error) {
-				return cfg.build(stats.SubSeed(seed, "sim", runLabel))
+				return cfg.build(stats.SubSeed(cfg.seed, "sim", runLabel))
 			},
-			Rounds:   rounds,
-			DataSeed: stats.SubSeed(seed, "sim", runLabel, "data"),
+			Rounds:   cfg.rounds,
+			DataSeed: stats.SubSeed(cfg.seed, "sim", runLabel, "data"),
 			// Trial.Run stamps the observer and trace identity onto the
 			// system (and its fault injector) after Build.
 			ID:     i,
 			Labels: "sim/" + runLabel,
-			Obs:    observer,
+			Obs:    camp.Observer,
 		}
 	}
-	runStats, err := sim.Runner{Workers: parallel, Obs: observer, Campaign: camp}.RunTrials(ctx, trials)
+	runStats, err := sim.Runner{Workers: cfg.parallel, Obs: camp.Observer, Campaign: camp}.RunTrials(ctx, trials)
 	if err != nil {
 		return err
 	}
 
 	// Rebuild run 0's deployment once more for the static link report
 	// (rate, SNR, query shape) — it is identical across runs.
-	sys, env, err := cfg.build(stats.SubSeed(seed, "sim", "run=0"))
+	sys, env, err := cfg.build(stats.SubSeed(cfg.seed, "sim", "run=0"))
 	if err != nil {
 		return err
 	}
@@ -523,13 +353,13 @@ func run(ctx context.Context, cfg deployment, ocfg obsConfig, rounds, runs, para
 	fmt.Printf("query shape       : %d triggers + %d data subframes, %d tick(s)/subframe\n",
 		sys.Spec.TriggerLen, sys.Spec.DataLen, sys.Spec.TicksPerSubframe)
 	fmt.Printf("offered tag rate  : %.1f Kbps\n", rate/1e3)
-	if runs == 1 {
-		fmt.Printf("rounds            : %d (%.1f s of airtime)\n", rounds, airtime)
+	if cfg.runs == 1 {
+		fmt.Printf("rounds            : %d (%.1f s of airtime)\n", cfg.rounds, airtime)
 		fmt.Printf("detection rate    : %.3f\n", meanDet)
 		fmt.Printf("tag BER           : %.5f (%d/%d bits)\n", meanBER, errBits, bits)
 	} else {
-		fmt.Printf("runs              : %d × %d rounds (%.1f s of airtime)\n", runs, rounds, airtime)
-		fmt.Printf("detection rate    : %.3f (mean of %d runs)\n", meanDet, runs)
+		fmt.Printf("runs              : %d × %d rounds (%.1f s of airtime)\n", cfg.runs, cfg.rounds, airtime)
+		fmt.Printf("detection rate    : %.3f (mean of %d runs)\n", meanDet, cfg.runs)
 		fmt.Printf("tag BER           : %.5f ± %.5f across runs (%d/%d bits)\n",
 			meanBER, stats.StdDev(bers), errBits, bits)
 	}
@@ -541,73 +371,23 @@ func run(ctx context.Context, cfg deployment, ocfg obsConfig, rounds, runs, para
 // deployment with the selected scheme (the same transferers the adaptive-
 // coding sweep compares) and the summary reports delivery, rounds and
 // goodput instead of raw BER.
-func runTransfers(ctx context.Context, cfg deployment, camp *obs.Campaign, runs, parallel int, seed int64) error {
-	observer := camp.Observer
-	type outcome struct {
-		delivered bool
-		rounds    int
-		frames    int
-		airtime   float64
-		goodput   float64
-	}
-	outs, err := sim.Map(ctx, sim.Runner{Workers: parallel, Obs: observer, Campaign: camp}, runs,
-		func(ctx context.Context, i int) (outcome, error) {
+func runTransfers(ctx context.Context, cfg config, camp *obs.Campaign) error {
+	outs, err := sim.Map(ctx, sim.Runner{Workers: cfg.parallel, Obs: camp.Observer, Campaign: camp}, cfg.runs,
+		func(ctx context.Context, i int) (experiments.TransferOutcome, error) {
 			runLabel := fmt.Sprintf("run=%d", i)
-			sys, env, err := cfg.build(stats.SubSeed(seed, "sim", runLabel))
+			sys, env, err := cfg.build(stats.SubSeed(cfg.seed, "sim", runLabel))
 			if err != nil {
-				return outcome{}, err
+				return experiments.TransferOutcome{}, err
 			}
-			sys.Obs = observer
-			sys.TraceID = i
-			sys.TraceLabels = "sim/" + runLabel + "/scheme=" + cfg.xferStr
+			sys.Obs, sys.TraceID, sys.TraceLabels = camp.Observer, i, "sim/"+runLabel+"/scheme="+cfg.xferStr
 			if sys.Faults != nil {
-				sys.Faults.Obs = observer
-				sys.Faults.TraceID = i
-				sys.Faults.TraceLabels = sys.TraceLabels
+				sys.Faults.Obs, sys.Faults.TraceID, sys.Faults.TraceLabels = camp.Observer, i, sys.TraceLabels
 			}
 			if sys.Traffic != nil {
-				sys.Traffic.Obs = observer
+				sys.Traffic.Obs = camp.Observer
 			}
-			payload := stats.RandomBytes(stats.NewRNG(stats.SubSeed(seed, "sim", runLabel, "payload")), cfg.payloadLen)
-			xferSeed := stats.SubSeed(seed, "sim", runLabel, "xfer")
-			switch cfg.xferStr {
-			case "arq":
-				cc, err := link.NewCodingController(0)
-				if err != nil {
-					return outcome{}, err
-				}
-				xfer := link.NewTransferer(sys, env, link.DefaultPolicy(), cc, xferSeed)
-				xfer.Obs = observer
-				xfer.TraceID = i
-				xfer.TraceLabels = sys.TraceLabels
-				st, err := xfer.Send(ctx, payload)
-				if err != nil {
-					return outcome{}, err
-				}
-				return outcome{st.Delivered, st.Rounds, st.FramesSent, st.Airtime.Seconds(), st.GoodputBps()}, nil
-			case "fountain":
-				xfer := coding.NewFountainTransferer(sys, env, coding.DefaultFountainConfig(), xferSeed)
-				xfer.Obs = observer
-				xfer.TraceID = i
-				xfer.TraceLabels = sys.TraceLabels
-				st, err := xfer.Send(ctx, payload)
-				if err != nil {
-					return outcome{}, err
-				}
-				return outcome{st.Delivered, st.Rounds, st.FramesSent, st.Airtime.Seconds(), st.GoodputBps()}, nil
-			case "rs":
-				xfer := coding.NewRSTransferer(sys, env, coding.DefaultRSConfig(), xferSeed)
-				xfer.Obs = observer
-				xfer.TraceID = i
-				xfer.TraceLabels = sys.TraceLabels
-				st, err := xfer.Send(ctx, payload)
-				if err != nil {
-					return outcome{}, err
-				}
-				return outcome{st.Delivered, st.Rounds, st.FramesSent, st.Airtime.Seconds(), st.GoodputBps()}, nil
-			default:
-				return outcome{}, fmt.Errorf("unknown transfer scheme %q", cfg.xferStr)
-			}
+			payload := stats.RandomBytes(stats.NewRNG(stats.SubSeed(cfg.seed, "sim", runLabel, "payload")), cfg.payloadLen)
+			return experiments.RunTransfer(ctx, cfg.xferStr, sys, env, payload, stats.SubSeed(cfg.seed, "sim", runLabel, "xfer"))
 		})
 	if err != nil {
 		return err
@@ -617,13 +397,13 @@ func runTransfers(ctx context.Context, cfg deployment, camp *obs.Campaign, runs,
 	var rounds, frames float64
 	var airtime, goodput float64
 	for _, o := range outs {
-		if o.delivered {
+		if o.Delivered {
 			delivered++
-			goodput += o.goodput
+			goodput += o.GoodputBps
 		}
-		rounds += float64(o.rounds)
-		frames += float64(o.frames)
-		airtime += o.airtime
+		rounds += float64(o.Rounds)
+		frames += float64(o.Frames)
+		airtime += o.Airtime.Seconds()
 	}
 	fmt.Printf("transfer scheme   : %s (%d-byte payloads)\n", cfg.xferStr, cfg.payloadLen)
 	if cfg.faultStr != "" {
@@ -632,9 +412,10 @@ func runTransfers(ctx context.Context, cfg deployment, camp *obs.Campaign, runs,
 	if cfg.trafficStr != "" {
 		fmt.Printf("traffic profile   : %s\n", cfg.trafficStr)
 	}
-	fmt.Printf("transfers         : %d (%.1f s of airtime)\n", runs, airtime)
-	fmt.Printf("delivery rate     : %.3f (%d/%d)\n", float64(delivered)/float64(runs), delivered, runs)
-	fmt.Printf("mean rounds       : %.1f (%.1f frames)\n", rounds/float64(runs), frames/float64(runs))
+	runs := float64(cfg.runs)
+	fmt.Printf("transfers         : %d (%.1f s of airtime)\n", cfg.runs, airtime)
+	fmt.Printf("delivery rate     : %.3f (%d/%d)\n", float64(delivered)/runs, delivered, cfg.runs)
+	fmt.Printf("mean rounds       : %.1f (%.1f frames)\n", rounds/runs, frames/runs)
 	if delivered > 0 {
 		fmt.Printf("delivered goodput : %.1f Kbps\n", goodput/float64(delivered)/1e3)
 	}
@@ -654,15 +435,6 @@ type simProvenance struct {
 	Rounds    int    `json:"rounds"`
 	Runs      int    `json:"runs"`
 	Seed      int64  `json:"seed"`
-}
-
-// logWriter unwraps the optional log file without smuggling a typed nil
-// into the io.Writer interface.
-func logWriter(f *os.File) io.Writer {
-	if f == nil {
-		return nil
-	}
-	return f
 }
 
 func log10(x float64) float64 {

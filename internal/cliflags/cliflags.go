@@ -1,10 +1,18 @@
-// Package cliflags holds the up-front flag validation shared by the four
-// CLIs (witag-bench, witag-sim, witag-trace, witag-gate). The contract,
-// stated once here instead of four times over main packages: every
-// selector and path flag is checked before any work starts, and a bad
-// value produces one clear error naming the flag and the valid choices —
-// a typo must never silently run nothing, and an unwritable output path
-// must fail now, not after minutes of sweeping.
+// Package cliflags holds the contracts the CLIs share instead of
+// restating them over main packages.
+//
+// Flag validation, for all four CLIs (witag-bench, witag-sim,
+// witag-trace, witag-gate): every selector and path flag is checked
+// before any work starts, and a bad value produces one clear error
+// naming the flag and the valid choices — a typo must never silently run
+// nothing, and an unwritable output path must fail now, not after
+// minutes of sweeping.
+//
+// The run contract, for the two campaign CLIs (witag-bench, witag-sim):
+// Main is their main preamble (-version, signals, exit 1), and Run
+// registers and validates their shared observability flags, opens the
+// campaign scope those flags describe, and on Close writes the trace
+// ring and timeline and appends the run's ledger record.
 package cliflags
 
 import (

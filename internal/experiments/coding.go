@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"time"
 
 	"witag/internal/channel"
 	"witag/internal/coding"
@@ -117,15 +118,21 @@ type AdaptiveCodingResult struct {
 	Points       []CodingPoint
 }
 
-// codingTrial is one transfer's outcome, stored by index.
+// TransferOutcome is one payload transfer's result.
+type TransferOutcome struct {
+	Delivered      bool
+	Rounds         int
+	Frames         int // frames put on the air
+	DecodeAttempts int // fountain peeling passes / RS reconstructions
+	ParityResizes  int // RS parity adaptations
+	Airtime        time.Duration
+	GoodputBps     float64
+}
+
+// codingTrial is one transfer of the sweep, stored by index.
 type codingTrial struct {
-	delivered      bool
-	rounds         int
-	frames         int
-	decodeAttempts int
-	parityResizes  int
-	goodput        float64
-	energySlots    int
+	TransferOutcome
+	energySlots int
 }
 
 // AdaptiveCoding runs the sweep.
@@ -191,14 +198,14 @@ func AdaptiveCodingCtx(ctx context.Context, cfg AdaptiveCodingConfig) (*Adaptive
 			delivered := 0
 			for tr := 0; tr < cfg.Transfers; tr++ {
 				t := trials[pi*perProfile+si*cfg.Transfers+tr]
-				if t.delivered {
+				if t.Delivered {
 					delivered++
-					goodput += t.goodput
+					goodput += t.GoodputBps
 				}
-				cell.MeanRounds += float64(t.rounds)
-				cell.MeanFrames += float64(t.frames)
-				cell.DecodeAttempts += float64(t.decodeAttempts)
-				cell.ParityResizes += float64(t.parityResizes)
+				cell.MeanRounds += float64(t.Rounds)
+				cell.MeanFrames += float64(t.Frames)
+				cell.DecodeAttempts += float64(t.DecodeAttempts)
+				cell.ParityResizes += float64(t.ParityResizes)
 				cell.EnergySlots += float64(t.energySlots)
 			}
 			nT := float64(cfg.Transfers)
@@ -233,78 +240,72 @@ func AdaptiveCodingCtx(ctx context.Context, cfg AdaptiveCodingConfig) (*Adaptive
 }
 
 // codingTransfer runs exactly one transfer of the sweep: the paired world
-// identified by (profile, tr) under the given scheme. All three schemes
-// rebuild the same labeled world — environment, fault stream, traffic
-// stream, payload, and even the transferer seed (leaf "xfer") — so the
-// comparison isolates the scheme; the scheme name deliberately never
-// enters the seed tree, only the trace label path
-// ("coding/pf=…/tr=…/scheme=…").
+// for (profile, tr), moved with the given scheme.
 func codingTransfer(ctx context.Context, cfg AdaptiveCodingConfig, prof CodingProfile, scheme string, traceID, tr int, o *obs.Observer) (codingTrial, error) {
 	sys, env, payload, label, err := codingWorld(cfg, prof, scheme, traceID, tr, o)
 	if err != nil {
 		return codingTrial{}, err
 	}
-	traceLabels := sys.TraceLabels
-
-	out := codingTrial{}
-	verify := func(delivered bool, received []byte) error {
-		if delivered && !bytes.Equal(received, payload) {
-			return fmt.Errorf("experiments: %s delivered a corrupted payload at pf=%s tr=%d", scheme, prof.Name, tr)
-		}
-		return nil
+	out, err := RunTransfer(ctx, scheme, sys, env, payload, label("xfer"))
+	if err != nil {
+		return codingTrial{}, err
 	}
+	return codingTrial{out, out.Rounds * sys.Spec.Total()}, nil
+}
+
+// RunTransfer moves payload across the deployment with the named scheme
+// (one of CodingSchemes) at that scheme's default configuration, seeding
+// the transferer with xferSeed. The transferer reports into sys's
+// observer under sys's trace identity. A payload reported delivered but
+// not equal to the one sent is an error: a scheme that corrupts data
+// must fail loudly, not score goodput.
+func RunTransfer(ctx context.Context, scheme string, sys *core.System, env *channel.Environment, payload []byte, xferSeed int64) (TransferOutcome, error) {
+	var (
+		out      TransferOutcome
+		received []byte
+	)
 	switch scheme {
 	case "arq":
 		cc, err := link.NewCodingController(0)
 		if err != nil {
-			return codingTrial{}, err
+			return TransferOutcome{}, err
 		}
-		xfer := link.NewTransferer(sys, env, link.DefaultPolicy(), cc, label("xfer"))
-		xfer.Obs = o
-		xfer.TraceID = traceID
-		xfer.TraceLabels = traceLabels
+		xfer := link.NewTransferer(sys, env, link.DefaultPolicy(), cc, xferSeed)
+		xfer.Obs, xfer.TraceID, xfer.TraceLabels = sys.Obs, sys.TraceID, sys.TraceLabels
 		st, err := xfer.Send(ctx, payload)
 		if err != nil {
-			return codingTrial{}, err
+			return TransferOutcome{}, err
 		}
-		if err := verify(st.Delivered, st.Received); err != nil {
-			return codingTrial{}, err
+		out = TransferOutcome{Delivered: st.Delivered, Rounds: st.Rounds, Frames: st.FramesSent,
+			Airtime: st.Airtime, GoodputBps: st.GoodputBps()}
+		received = st.Received
+	case "fountain", "rs":
+		var xfer interface {
+			Send(context.Context, []byte) (*coding.Stats, error)
 		}
-		out = codingTrial{delivered: st.Delivered, rounds: st.Rounds,
-			frames: st.FramesSent, goodput: st.GoodputBps()}
-	case "fountain":
-		xfer := coding.NewFountainTransferer(sys, env, coding.DefaultFountainConfig(), label("xfer"))
-		xfer.Obs = o
-		xfer.TraceID = traceID
-		xfer.TraceLabels = traceLabels
+		if scheme == "fountain" {
+			f := coding.NewFountainTransferer(sys, env, coding.DefaultFountainConfig(), xferSeed)
+			f.Obs, f.TraceID, f.TraceLabels = sys.Obs, sys.TraceID, sys.TraceLabels
+			xfer = f
+		} else {
+			r := coding.NewRSTransferer(sys, env, coding.DefaultRSConfig(), xferSeed)
+			r.Obs, r.TraceID, r.TraceLabels = sys.Obs, sys.TraceID, sys.TraceLabels
+			xfer = r
+		}
 		st, err := xfer.Send(ctx, payload)
 		if err != nil {
-			return codingTrial{}, err
+			return TransferOutcome{}, err
 		}
-		if err := verify(st.Delivered, st.Received); err != nil {
-			return codingTrial{}, err
-		}
-		out = codingTrial{delivered: st.Delivered, rounds: st.Rounds,
-			frames: st.FramesSent, decodeAttempts: st.DecodeAttempts, goodput: st.GoodputBps()}
-	case "rs":
-		xfer := coding.NewRSTransferer(sys, env, coding.DefaultRSConfig(), label("xfer"))
-		xfer.Obs = o
-		xfer.TraceID = traceID
-		xfer.TraceLabels = traceLabels
-		st, err := xfer.Send(ctx, payload)
-		if err != nil {
-			return codingTrial{}, err
-		}
-		if err := verify(st.Delivered, st.Received); err != nil {
-			return codingTrial{}, err
-		}
-		out = codingTrial{delivered: st.Delivered, rounds: st.Rounds,
-			frames: st.FramesSent, decodeAttempts: st.DecodeAttempts,
-			parityResizes: st.ParityResizes, goodput: st.GoodputBps()}
+		out = TransferOutcome{Delivered: st.Delivered, Rounds: st.Rounds, Frames: st.FramesSent,
+			DecodeAttempts: st.DecodeAttempts, ParityResizes: st.ParityResizes,
+			Airtime: st.Airtime, GoodputBps: st.GoodputBps()}
+		received = st.Received
 	default:
-		return codingTrial{}, fmt.Errorf("experiments: unknown scheme %q", scheme)
+		return TransferOutcome{}, fmt.Errorf("experiments: unknown scheme %q", scheme)
 	}
-	out.energySlots = out.rounds * sys.Spec.Total()
+	if out.Delivered && !bytes.Equal(received, payload) {
+		return TransferOutcome{}, fmt.Errorf("experiments: %s delivered a corrupted payload (%s)", scheme, sys.TraceLabels)
+	}
 	return out, nil
 }
 
@@ -324,9 +325,7 @@ func codingWorld(cfg AdaptiveCodingConfig, prof CodingProfile, scheme string, tr
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	sys.Obs = o
-	sys.TraceID = traceID
-	sys.TraceLabels = traceLabels
+	sys.Obs, sys.TraceID, sys.TraceLabels = o, traceID, traceLabels
 	if prof.Fault != "" {
 		fp, err := fault.Named(prof.Fault)
 		if err != nil {
@@ -336,9 +335,7 @@ func codingWorld(cfg AdaptiveCodingConfig, prof CodingProfile, scheme string, tr
 		if err != nil {
 			return nil, nil, nil, nil, err
 		}
-		sys.Faults.Obs = o
-		sys.Faults.TraceID = traceID
-		sys.Faults.TraceLabels = traceLabels
+		sys.Faults.Obs, sys.Faults.TraceID, sys.Faults.TraceLabels = o, traceID, traceLabels
 	}
 	if prof.Traffic != "" {
 		tp, err := traffic.Named(prof.Traffic)

@@ -1,9 +1,14 @@
 package experiments
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
+
+	"witag/internal/obs"
+	"witag/internal/stats"
 )
 
 func TestAdaptiveCodingSweepShape(t *testing.T) {
@@ -97,5 +102,43 @@ func TestCodingSchemeOutsideSeedTree(t *testing.T) {
 		if fmt.Sprint(ref) == "" {
 			t.Fatal("no rounds observed")
 		}
+	}
+}
+
+// RunTransfer is the one transfer entry point behind both the coding
+// sweep and witag-sim -transfer: every scheme must deliver a small
+// payload over a clean line-of-sight testbed, report its traffic under
+// the system's trace identity, and an unknown scheme must be an error.
+func TestRunTransferSchemes(t *testing.T) {
+	for _, scheme := range CodingSchemes {
+		sys, env, err := LoSTestbed(2, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := obs.NewRecorder(1 << 12)
+		sys.Obs = obs.NewObserver(obs.NewRegistry(), rec)
+		sys.TraceID, sys.TraceLabels = 3, "test/scheme="+scheme
+		payload := stats.RandomBytes(stats.NewRNG(1), 48)
+		out, err := RunTransfer(context.Background(), scheme, sys, env, payload, 11)
+		if err != nil {
+			t.Fatalf("%s: %v", scheme, err)
+		}
+		if !out.Delivered || out.Rounds == 0 || out.Frames == 0 || out.Airtime <= 0 || out.GoodputBps <= 0 {
+			t.Errorf("%s: outcome %+v, want a delivered transfer with traffic", scheme, out)
+		}
+		var buf bytes.Buffer
+		if err := rec.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(buf.Bytes(), []byte(`{"kind":"transfer","trial":3,"labels":"test/scheme=`+scheme+`"`)) {
+			t.Errorf("%s: no transfer event under the system's trace identity:\n%s", scheme, buf.Bytes())
+		}
+	}
+	sys, env, err := LoSTestbed(2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunTransfer(context.Background(), "carrier-pigeon", sys, env, []byte{1}, 1); err == nil {
+		t.Error("unknown scheme accepted")
 	}
 }

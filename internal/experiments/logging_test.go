@@ -56,7 +56,6 @@ func loggedRobustness(t *testing.T, workers int) (*RobustnessResult, string) {
 func TestLoggingDoesNotPerturbResults(t *testing.T) {
 	// Bare run: no observer, no campaign, no logger.
 	defer SetObserver(SetObserver(nil))
-	defer SetProgress(SetProgress(nil))
 	defer SetCampaign(SetCampaign(nil))
 	bare, err := Robustness(obsRobustnessConfig(manyWorkers()))
 	if err != nil {

@@ -85,16 +85,20 @@ func TestInstrumentationDoesNotPerturbResults(t *testing.T) {
 	cfg := obsRobustnessConfig(manyWorkers())
 
 	defer SetObserver(SetObserver(nil))
-	defer SetProgress(SetProgress(nil))
+	defer SetCampaign(SetCampaign(nil))
 	bare, err := Robustness(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Full instrumentation: registry, trace ring and progress sink.
-	reg := obs.NewRegistry()
-	SetObserver(obs.NewObserver(reg, obs.NewRecorder(1<<12)))
-	SetProgress(obs.NewProgress(io.Discard, "trials"))
+	// Full instrumentation: a campaign's registry, trace ring and
+	// progress sink.
+	camp := obs.NewCampaign("test-instr", obs.CampaignOptions{
+		TraceCap: 1 << 12,
+		Progress: obs.NewProgress(io.Discard, "trials"),
+	})
+	SetObserver(camp.Observer)
+	SetCampaign(camp)
 	instrumented, err := Robustness(cfg)
 	if err != nil {
 		t.Fatal(err)

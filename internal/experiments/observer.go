@@ -22,7 +22,6 @@ import (
 
 var (
 	observer atomic.Pointer[obs.Observer]
-	progress atomic.Pointer[obs.Progress]
 	campaign atomic.Pointer[obs.Campaign]
 )
 
@@ -32,15 +31,10 @@ func SetObserver(o *obs.Observer) (prev *obs.Observer) {
 	return observer.Swap(o)
 }
 
-// SetProgress installs the live progress reporter the harnesses' runners
-// feed, returning the previous one.
-func SetProgress(p *obs.Progress) (prev *obs.Progress) {
-	return progress.Swap(p)
-}
-
 // SetCampaign installs the campaign scope the harnesses' runners report
-// into (live progress/anomaly events on its SSE broker), returning the
-// previous one. Install a campaign *and* its observer together:
+// into (its progress reporter, timeline and live progress/anomaly events
+// on its SSE broker), returning the previous one. Install a campaign
+// *and* its observer together:
 // SetCampaign(c) pairs with SetObserver(c.Observer), so the metrics the
 // campaign's /campaigns/<id>/metrics endpoint serves are the metrics the
 // harnesses actually moved.
@@ -52,7 +46,7 @@ func SetCampaign(c *obs.Campaign) (prev *obs.Campaign) {
 func currentObserver() *obs.Observer { return observer.Load() }
 
 // simRunner is the pool every harness uses, wired to the package
-// observer, progress reporter and campaign scope.
+// observer and campaign scope.
 func simRunner(workers int) sim.Runner {
-	return sim.Runner{Workers: workers, Obs: observer.Load(), Progress: progress.Load(), Campaign: campaign.Load()}
+	return sim.Runner{Workers: workers, Obs: observer.Load(), Campaign: campaign.Load()}
 }

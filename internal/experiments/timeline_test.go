@@ -40,7 +40,6 @@ func timedRobustness(t *testing.T, workers int) (*RobustnessResult, string) {
 
 func TestTimelineDoesNotPerturbResults(t *testing.T) {
 	defer SetObserver(SetObserver(nil))
-	defer SetProgress(SetProgress(nil))
 	defer SetCampaign(SetCampaign(nil))
 	bare, err := Robustness(obsRobustnessConfig(manyWorkers()))
 	if err != nil {

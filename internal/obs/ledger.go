@@ -68,38 +68,13 @@ func AppendRunRecord(dir string, rec RunRecord) error {
 	return werr
 }
 
-// ReadRunLedger decodes a RUNS.jsonl stream. Unparseable lines are an
-// error — the ledger is machine-written, so damage should surface, not
-// vanish.
-func ReadRunLedger(r io.Reader) ([]RunRecord, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	var out []RunRecord
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var rec RunRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, fmt.Errorf("obs: ledger line %d: %w", line, err)
-		}
-		out = append(out, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReadRunLedgerTolerant decodes a RUNS.jsonl stream, tolerating exactly
-// the damage a crash during AppendRunRecord leaves behind: a corrupt or
+// ReadRunLedger decodes a RUNS.jsonl stream, tolerating exactly the
+// damage a crash during AppendRunRecord leaves behind: a corrupt or
 // partial *trailing* line is skipped and counted instead of failing.
-// Damage anywhere before the tail is still an error — mid-file garbage
-// means corruption, not an interrupted append.
-func ReadRunLedgerTolerant(r io.Reader) (recs []RunRecord, skipped int, err error) {
+// Damage anywhere before the tail is an error naming the line — the
+// ledger is machine-written, so mid-file garbage means corruption, not
+// an interrupted append, and must surface rather than vanish.
+func ReadRunLedger(r io.Reader) (recs []RunRecord, skipped int, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	var pendingErr error

@@ -27,9 +27,9 @@ func TestRunLedgerAppendAndRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	recs, err := ReadRunLedger(f)
-	if err != nil {
-		t.Fatal(err)
+	recs, skipped, err := ReadRunLedger(f)
+	if err != nil || skipped != 0 {
+		t.Fatalf("read: %v (%d lines skipped)", err, skipped)
 	}
 	if len(recs) != 2 {
 		t.Fatalf("ledger has %d records, want 2 (append-only)", len(recs))
@@ -46,7 +46,8 @@ func TestRunLedgerAppendAndRead(t *testing.T) {
 }
 
 func TestReadRunLedgerRejectsDamage(t *testing.T) {
-	_, err := ReadRunLedger(strings.NewReader("{\"kind\":\"run\"}\nnot json\n"))
+	// Damage followed by a further record is not a torn tail: it must error.
+	_, _, err := ReadRunLedger(strings.NewReader("{\"kind\":\"run\"}\nnot json\n{\"kind\":\"run\"}\n"))
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("damaged ledger read returned %v, want a line-2 error", err)
 	}
@@ -56,7 +57,7 @@ func TestReadRunLedgerTolerantSkipsTruncatedTail(t *testing.T) {
 	good := `{"kind":"run","tool":"witag-bench","campaign":"a","outcome":"ok","wall_ms":5}` + "\n"
 
 	// A crash mid-append leaves a partial trailing line: skip and count.
-	recs, skipped, err := ReadRunLedgerTolerant(strings.NewReader(good + good + `{"kind":"run","to`))
+	recs, skipped, err := ReadRunLedger(strings.NewReader(good + good + `{"kind":"run","to`))
 	if err != nil {
 		t.Fatalf("truncated tail must not error: %v", err)
 	}
@@ -68,16 +69,22 @@ func TestReadRunLedgerTolerantSkipsTruncatedTail(t *testing.T) {
 	}
 
 	// A clean ledger reads with nothing skipped.
-	recs, skipped, err = ReadRunLedgerTolerant(strings.NewReader(good + good))
+	recs, skipped, err = ReadRunLedger(strings.NewReader(good + good))
 	if err != nil || len(recs) != 2 || skipped != 0 {
 		t.Fatalf("clean ledger: recs=%d skipped=%d err=%v", len(recs), skipped, err)
 	}
 
-	// Garbage before the tail is corruption, exactly like ReadRunLedger.
-	if _, _, err := ReadRunLedgerTolerant(strings.NewReader("not json\n" + good)); err == nil {
-		t.Fatal("mid-file damage must still error")
+	// A damaged final line, newline-terminated, is still the tail.
+	recs, skipped, err = ReadRunLedger(strings.NewReader("{\"kind\":\"run\"}\nnot json\n"))
+	if err != nil || len(recs) != 1 || skipped != 1 {
+		t.Fatalf("damaged tail: recs=%d skipped=%d err=%v; want 1 record, 1 skipped", len(recs), skipped, err)
 	}
-	if _, _, err := ReadRunLedgerTolerant(strings.NewReader(good + "not json\n" + good)); err == nil || !strings.Contains(err.Error(), "line 2") {
+
+	// Garbage before the tail is corruption: an error naming the line.
+	if _, _, err := ReadRunLedger(strings.NewReader("not json\n" + good)); err == nil || !strings.Contains(err.Error(), "line 1") {
+		t.Fatalf("mid-file damage error = %v, want line-1 error", err)
+	}
+	if _, _, err := ReadRunLedger(strings.NewReader(good + "not json\n" + good)); err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("mid-file damage error = %v, want line-2 error", err)
 	}
 }

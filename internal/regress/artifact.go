@@ -135,9 +135,9 @@ func writeArtifact(dir, file string, v any) error {
 }
 
 // LoadDir reads every BENCH_<name>.json / BENCH_<name>.metrics.json /
-// PROF_<name>.json group under dir. Artifacts predating the provenance
-// envelope (a bare series or a bare snapshot at top level) still load,
-// with nil provenance, so old baselines remain comparable.
+// PROF_<name>.json group under dir. Every BENCH document must be a
+// provenance envelope; a bare series or snapshot at top level is an
+// error naming the file.
 func LoadDir(dir string) (map[string]*Artifact, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -181,28 +181,23 @@ func LoadDir(dir string) (map[string]*Artifact, error) {
 			if err := json.Unmarshal(buf, &env); err != nil {
 				return nil, fmt.Errorf("regress: %s: %w", fn, err)
 			}
-			if env.Metrics.Counters == nil && env.Provenance == nil {
-				// Legacy layout: the whole document is the snapshot.
-				var snap obs.Snapshot
-				if err := json.Unmarshal(buf, &snap); err != nil {
-					return nil, fmt.Errorf("regress: %s: %w", fn, err)
-				}
-				a.Metrics = &snap
-			} else {
-				a.Metrics = &env.Metrics
-				a.MetricsProv = env.Provenance
+			if env.Provenance == nil {
+				return nil, fmt.Errorf("regress: %s: not a provenance envelope", fn)
 			}
+			a.Metrics = &env.Metrics
+			a.MetricsProv = env.Provenance
 		default:
 			name := strings.TrimSuffix(strings.TrimPrefix(fn, "BENCH_"), ".json")
 			a := get(name)
 			var env seriesEnvelope
-			if err := json.Unmarshal(buf, &env); err == nil && env.Series != nil {
-				a.Series = env.Series
-				a.SeriesProv = env.Provenance
-			} else {
-				// Legacy layout: the whole document is the series.
-				a.Series = json.RawMessage(buf)
+			if err := json.Unmarshal(buf, &env); err != nil {
+				return nil, fmt.Errorf("regress: %s: %w", fn, err)
 			}
+			if env.Provenance == nil || env.Series == nil {
+				return nil, fmt.Errorf("regress: %s: not a provenance envelope", fn)
+			}
+			a.Series = env.Series
+			a.SeriesProv = env.Provenance
 		}
 	}
 	return arts, nil

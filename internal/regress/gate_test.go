@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"witag/internal/obs"
@@ -216,41 +217,28 @@ func TestGateEmptyBaselineErrors(t *testing.T) {
 	}
 }
 
-func TestLoadDirLegacyArtifacts(t *testing.T) {
-	// Artifacts that predate the provenance envelope: a bare series and a
-	// bare snapshot at top level. Both must still load and compare.
-	dir := t.TempDir()
+func TestLoadDirRejectsBareArtifacts(t *testing.T) {
+	// Documents without the provenance envelope — a bare series or a
+	// bare snapshot at top level — must fail, naming the file.
 	series, _ := json.Marshal(fixture())
-	if err := os.WriteFile(filepath.Join(dir, "BENCH_fig5.json"), series, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	snap, _ := json.Marshal(fixtureSnapshot())
-	if err := os.WriteFile(filepath.Join(dir, "BENCH_fig5.metrics.json"), snap, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	arts, err := LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := arts["fig5"]
-	if a == nil || a.Series == nil || a.Metrics == nil {
-		t.Fatalf("legacy artifacts did not load: %+v", a)
-	}
-	if a.SeriesProv != nil || a.MetricsProv != nil {
-		t.Fatalf("legacy artifacts grew provenance from nowhere: %+v", a)
-	}
-
-	// And a legacy baseline gates cleanly against a stamped candidate of
-	// the same science.
-	candDir := t.TempDir()
-	writeFixture(t, candDir, fixture(), fixtureSnapshot())
-	rep, err := Gate(dir, candDir, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Verdict != ClassOK {
-		j, _ := rep.JSON()
-		t.Fatalf("legacy baseline vs identical candidate gated %s\n%s", rep.Verdict, j)
+	for _, bare := range []struct {
+		file string
+		doc  []byte
+	}{
+		{"BENCH_fig5.json", series},
+		{"BENCH_fig5.json", []byte(`[1, 2, 3]`)},
+		{"BENCH_fig5.metrics.json", snap},
+	} {
+		dir := t.TempDir()
+		writeFixture(t, dir, fixture(), fixtureSnapshot())
+		if err := os.WriteFile(filepath.Join(dir, bare.file), bare.doc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadDir(dir)
+		if err == nil || !strings.Contains(err.Error(), bare.file) {
+			t.Errorf("bare %s %s: LoadDir error %v, want one naming the file", bare.file, bare.doc[:1], err)
+		}
 	}
 }
 

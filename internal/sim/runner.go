@@ -19,35 +19,19 @@ type Runner struct {
 	// each item's wall time (a volatile metric: real time, excluded from
 	// the deterministic snapshot view).
 	Obs *obs.Observer
-	// Progress, when non-nil, receives live completion updates
-	// (trials/sec and ETA on stderr in the CLIs). Purely a sink — it
-	// never feeds back into the work.
-	Progress *obs.Progress
 	// Campaign, when non-nil, scopes this runner's live reporting: its
 	// tally feeds the campaign's own Progress reporter and its SSE
 	// broker (rate-limited "progress" events, one "anomaly" event per
-	// failed trial), and Progress above is ignored to avoid counting
-	// every item twice. Also purely a sink.
+	// failed trial). A timeline attached to the campaign (SetTimeline)
+	// receives per-window registry deltas keyed by completed-trial
+	// count. To keep those deltas worker-count deterministic, Each then
+	// executes in window-sized chunks: every trial of a window completes
+	// (a pool barrier) before the window's delta is sampled, so the
+	// delta is exactly the sum of that window's trials' contributions.
+	// With no timeline there is a single chunk. Purely a sink: trial
+	// results are identical either way — each trial's work is a pure
+	// function of its index and seed labels.
 	Campaign *obs.Campaign
-	// Timeline, when non-nil (or attached to Campaign), receives
-	// per-window registry deltas keyed by completed-trial count. To
-	// keep those deltas worker-count deterministic, Each then executes
-	// in window-sized chunks: every trial of a window completes (a pool
-	// barrier) before the window's delta is sampled, so the delta is
-	// exactly the sum of that window's trials' contributions. With no
-	// timeline there is a single chunk and behaviour is unchanged.
-	// Trial results are identical either way — each trial's work is a
-	// pure function of its index and seed labels.
-	Timeline *obs.Timeline
-}
-
-// timelineRef resolves the runner's timeline: the explicit field wins,
-// else the campaign's attached timeline, else nil.
-func (r Runner) timelineRef() *obs.Timeline {
-	if r.Timeline != nil {
-		return r.Timeline
-	}
-	return r.Campaign.TimelineRef()
 }
 
 func (r Runner) workers() int {
@@ -70,11 +54,7 @@ func (r Runner) Each(ctx context.Context, n int, fn func(ctx context.Context, i 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	if r.Campaign != nil {
-		r.Campaign.ProgressStart(n)
-	} else {
-		r.Progress.Start(n)
-	}
+	r.Campaign.ProgressStart(n)
 	var rtBefore obs.RuntimeStats
 	if r.Obs != nil {
 		rtBefore = obs.ReadRuntimeStats()
@@ -134,11 +114,7 @@ func (r Runner) Each(ctx context.Context, n int, fn func(ctx context.Context, i 
 						})
 						break
 					}
-					if r.Campaign != nil {
-						r.Campaign.ProgressDone(1)
-					} else {
-						r.Progress.Done(1)
-					}
+					r.Campaign.ProgressDone(1)
 				}
 				if r.Obs != nil && busy > 0 {
 					r.Obs.Runner.WorkerBusy.Observe(busy.Milliseconds())
@@ -150,7 +126,7 @@ func (r Runner) Each(ctx context.Context, n int, fn func(ctx context.Context, i 
 	}
 
 	var firstErr error
-	if tl := r.timelineRef(); tl == nil {
+	if tl := r.Campaign.TimelineRef(); tl == nil {
 		firstErr = runRange(0, n)
 	} else {
 		// Chunked execution: each chunk tops up the open logical window,

@@ -15,13 +15,11 @@ import (
 // race-clean (`make race` runs this file under the detector).
 
 func instrumentedRunner(workers int) (Runner, *obs.Registry) {
-	reg := obs.NewRegistry()
-	r := Runner{
-		Workers:  workers,
-		Obs:      obs.NewObserver(reg, obs.NewRecorder(1<<10)),
+	camp := obs.NewCampaign("runner-test", obs.CampaignOptions{
+		TraceCap: 1 << 10,
 		Progress: obs.NewProgress(io.Discard, "items"),
-	}
-	return r, reg
+	})
+	return Runner{Workers: workers, Obs: camp.Observer, Campaign: camp}, camp.Registry
 }
 
 func TestEachFirstErrorPropagatesWithInstrumentation(t *testing.T) {

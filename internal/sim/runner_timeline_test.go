@@ -10,20 +10,28 @@ import (
 	"witag/internal/obs"
 )
 
-// The chunked-execution contract: with a Timeline attached, Each runs
+// The chunked-execution contract: with a Timeline attached to the
+// runner's campaign, Each runs
 // trials in window-sized chunks with a full barrier before each
 // NoteTrials, so every logical window's delta is exactly the sum of its
 // own trials' counter contributions — a pure function of the work,
 // independent of worker count.
 
+// timelineRunner returns a runner whose campaign carries a 4-trial
+// logical timeline over the campaign registry, plus a test counter in
+// that registry.
+func timelineRunner(workers int) (Runner, *obs.Counter, *obs.Timeline) {
+	camp := obs.NewCampaign("tl-test", obs.CampaignOptions{})
+	tl := obs.NewTimeline(camp.Registry, obs.TimelineConfig{WindowTrials: 4})
+	camp.SetTimeline(tl)
+	return Runner{Workers: workers, Campaign: camp}, camp.Registry.Counter("test.work"), tl
+}
+
 // timelineJSONL runs two Each calls (10 then 7 trials) with index-
 // dependent counter increments and returns the exported timeline bytes.
 func timelineJSONL(t *testing.T, workers int) []byte {
 	t.Helper()
-	reg := obs.NewRegistry()
-	c := reg.Counter("test.work")
-	tl := obs.NewTimeline(reg, obs.TimelineConfig{WindowTrials: 4})
-	r := Runner{Workers: workers, Timeline: tl}
+	r, c, tl := timelineRunner(workers)
 	for _, n := range []int{10, 7} {
 		err := r.Each(context.Background(), n, func(ctx context.Context, i int) error {
 			c.Add(int64(i*i + 1)) // index-dependent: misattribution shows
@@ -52,10 +60,7 @@ func TestRunnerTimelineWindowsIdenticalAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestRunnerTimelineWindowAttribution(t *testing.T) {
-	reg := obs.NewRegistry()
-	c := reg.Counter("test.work")
-	tl := obs.NewTimeline(reg, obs.TimelineConfig{WindowTrials: 4})
-	r := Runner{Workers: 8, Timeline: tl}
+	r, c, tl := timelineRunner(8)
 	if err := r.Each(context.Background(), 10, func(ctx context.Context, i int) error {
 		c.Add(int64(i))
 		return nil
@@ -96,9 +101,9 @@ func TestRunnerTimelineViaCampaignRef(t *testing.T) {
 func TestRunnerTimelineErrorAndCancelSemanticsUnchanged(t *testing.T) {
 	// Chunked execution must not alter Each's contract: first error wins,
 	// cancellation propagates, and accounting stays exact.
-	reg := obs.NewRegistry()
-	tl := obs.NewTimeline(reg, obs.TimelineConfig{WindowTrials: 4})
-	r := Runner{Workers: 4, Timeline: tl, Obs: obs.NewObserver(reg, nil)}
+	r, _, _ := timelineRunner(4)
+	r.Obs = r.Campaign.Observer
+	reg := r.Campaign.Registry
 	sentinel := errors.New("boom")
 	err := r.Each(context.Background(), 64, func(ctx context.Context, i int) error {
 		if i == 5 {
@@ -117,9 +122,7 @@ func TestRunnerTimelineErrorAndCancelSemanticsUnchanged(t *testing.T) {
 		t.Errorf("accounting broke under chunking: started %d done %d failed %d", started, done, failed)
 	}
 
-	reg2 := obs.NewRegistry()
-	tl2 := obs.NewTimeline(reg2, obs.TimelineConfig{WindowTrials: 4})
-	r2 := Runner{Workers: 4, Timeline: tl2}
+	r2, _, _ := timelineRunner(4)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var calls atomic.Int64
