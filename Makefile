@@ -1,7 +1,8 @@
 # Developer / CI entry points. `make check` is the gate: formatting, vet,
 # the full test suite under the race detector (the concurrent trial runner
-# in internal/sim must stay race-clean), the codec fuzz seed corpus, and
-# the worker-count determinism contract.
+# in internal/sim must stay race-clean), the codec fuzz seed corpus, the
+# worker-count determinism contract, and a build and vet of the perfbench
+# benchmark module.
 #
 # Release checklist: `make check` then `make gate` — the regression
 # sentinel reruns every experiment and compares the science against the
@@ -14,12 +15,18 @@ BENCHTIME ?= 1s
 # gate writes its candidate artifacts here; empty means a throwaway tmpdir.
 GATEDIR ?=
 
-.PHONY: check fmt vet lint test race bench benchcmp bench-series gate build cover fuzz fuzzseed determinism
+.PHONY: check fmt vet lint test race bench benchcmp bench-series gate build benchmod cover fuzz fuzzseed determinism
 
-check: fmt vet build lint race fuzzseed determinism
+check: fmt vet build benchmod lint race fuzzseed determinism
 
 build:
 	$(GO) build ./...
+
+# perfbench/ is a Go module of its own, so the repository's `go build
+# ./...` never compiles it; build and vet it here so an internal API
+# change cannot silently break the benchmark.
+benchmod:
+	cd perfbench && $(GO) build ./... && $(GO) vet ./...
 
 fmt:
 	@unformatted=$$(gofmt -l .); \

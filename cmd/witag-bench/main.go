@@ -10,7 +10,7 @@
 //	            [-transfer all|arq|fountain|rs] [-traffic all|PROFILE]
 //	            [-profile DIR] [-metrics-addr HOST:PORT] [-trace FILE]
 //	            [-trace-out DIR] [-trace-cap N] [-progress]
-//	            [-timeline] [-timeline-window N] [-timeline-wall DUR]
+//	            [-timeline] [-timeline-window N]
 //	            [-log FILE] [-log-level debug|info|warn|error] [-version]
 //
 // Scale note: "-rounds" stands in for the paper's one-minute measurement
@@ -55,10 +55,7 @@
 //	                      as TL_<name>.jsonl beside the BENCH artifacts;
 //	                      requires -json DIR. Logical windows are
 //	                      deterministic: the TL bytes are identical at
-//	                      any -parallel. -timeline-wall DUR additionally
-//	                      samples volatile wall-clock windows every DUR
-//	                      (these are excluded from determinism, like any
-//	                      Volatile instrument). Live view: witag-top, or
+//	                      any -parallel. Live view:
 //	                      /campaigns/bench/timeseries with -metrics-addr
 //	-log run.jsonl        write the campaign's structured JSONL log there;
 //	                      with -json DIR, a RUNS.jsonl run-ledger line is
@@ -106,9 +103,7 @@ type benchConfig struct {
 	trafficSel string
 	profileDir string
 	traceOut   string
-
-	timeline     bool
-	timelineWall time.Duration
+	timeline   bool
 }
 
 func main() {
@@ -126,7 +121,6 @@ func main() {
 	flag.StringVar(&cfg.profileDir, "profile", "", "write cpu/heap/allocs pprof profiles per experiment under this directory (empty: off)")
 	flag.StringVar(&cfg.traceOut, "trace-out", "", "write one TRACE_<name>.jsonl per experiment under this directory (empty: off)")
 	flag.BoolVar(&cfg.timeline, "timeline", false, "write a TL_<name>.jsonl windowed time-series per experiment under -json DIR")
-	flag.DurationVar(&cfg.timelineWall, "timeline-wall", 0, "also sample volatile wall-clock timeline windows at this interval (0: off)")
 	rf := &cliflags.Run{Tool: "witag-bench"}
 	rf.RegisterFlags(flag.CommandLine, cliflags.Help{
 		Unit:        "trial",
@@ -322,17 +316,10 @@ func run(ctx context.Context, cfg benchConfig, rf *cliflags.Run) (err error) {
 			o = obs.NewObserver(reg, rec)
 		}
 		var tl *obs.Timeline
-		stopWall := func() {}
 		if cfg.timeline {
 			tl = obs.NewTimeline(reg, obs.TimelineConfig{WindowTrials: rf.TimelineWindow})
 			camp.SetTimeline(tl)
-			if cfg.timelineWall > 0 {
-				stopWall = tl.StartWallSampler(cfg.timelineWall)
-			}
-			defer func() {
-				stopWall() // idempotent
-				camp.SetTimeline(nil)
-			}()
+			defer camp.SetTimeline(nil)
 		}
 		prev := experiments.SetObserver(o)
 		err := profiled(cfg.profileDir, name, func() error {
@@ -343,7 +330,6 @@ func run(ctx context.Context, cfg benchConfig, rf *cliflags.Run) (err error) {
 			return err
 		}
 		if tl != nil {
-			stopWall()
 			tl.Flush()
 			if err := cliflags.WriteTimeline(filepath.Join(cfg.jsonDir, "TL_"+name+".jsonl"), tl); err != nil {
 				return err

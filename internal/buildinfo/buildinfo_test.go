@@ -47,9 +47,9 @@ func TestShortClipsFullRevisions(t *testing.T) {
 func TestPrintWritesOneLine(t *testing.T) {
 	t.Setenv("WITAG_GIT_SHA", "feedface0000")
 	var b strings.Builder
-	Print(&b, "witag-top")
+	Print(&b, "witag-trace")
 	out := b.String()
-	if !strings.HasPrefix(out, "witag-top feedface0000 (go") || !strings.HasSuffix(out, ")\n") {
+	if !strings.HasPrefix(out, "witag-trace feedface0000 (go") || !strings.HasSuffix(out, ")\n") {
 		t.Errorf("Print wrote %q", out)
 	}
 }

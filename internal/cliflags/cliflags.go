@@ -146,19 +146,6 @@ func OutputFile(flagName, path string) error {
 	return nil
 }
 
-// MetricsAddrFormat validates that addr parses as host:port without
-// probing it — the client-side twin of MetricsAddr, for tools (like
-// witag-top) that connect to an address another process is serving on.
-func MetricsAddrFormat(flagName, addr string) error {
-	if addr == "" {
-		return fmt.Errorf("%s: address is required", flagName)
-	}
-	if _, _, err := net.SplitHostPort(addr); err != nil {
-		return fmt.Errorf("%s: %q is not host:port: %w", flagName, addr, err)
-	}
-	return nil
-}
-
 // MetricsAddr validates a -metrics-addr value up front: it must parse as
 // host:port and be bindable right now. The probe listener is closed
 // immediately; the real bind follows within the same invocation, so the

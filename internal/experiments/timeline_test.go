@@ -67,13 +67,13 @@ func TestTimelineWindowsIdenticalAcrossWorkerCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wins := log.Logical()
+	wins := log.Windows
 	if len(wins) < 2 {
 		t.Fatalf("sweep produced only %d logical windows", len(wins))
 	}
 	var rounds int64
 	for _, w := range wins {
-		rounds += w.CounterDelta("core.rounds")
+		rounds += w.Delta.Counters["core.rounds"]
 	}
 	if rounds == 0 {
 		t.Fatal("timeline windows carry no core.rounds activity")

@@ -7,9 +7,8 @@ import (
 	"witag/internal/obs"
 )
 
-// alignFixture: three logical windows of 4 trials across two Each
-// segments (segment 2 restarts indices at 0), plus one wall window that
-// must never match.
+// alignFixture: three windows of up to 4 trials across two Each
+// segments (segment 2 restarts indices at 0).
 func alignFixture() []obs.TimelineWindow {
 	return []obs.TimelineWindow{
 		{Kind: obs.WindowLogical, Seq: 0, DoneStart: 0, DoneEnd: 4,
@@ -18,7 +17,6 @@ func alignFixture() []obs.TimelineWindow {
 			Spans: []obs.TrialSpan{{Seg: 1, Lo: 4, Hi: 6}, {Seg: 2, Lo: 0, Hi: 2}}},
 		{Kind: obs.WindowLogical, Seq: 2, DoneStart: 8, DoneEnd: 10,
 			Spans: []obs.TrialSpan{{Seg: 2, Lo: 2, Hi: 4}}},
-		{Kind: obs.WindowWall, Seq: 0, DoneStart: 0, DoneEnd: 10},
 	}
 }
 

@@ -5,51 +5,15 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"sync"
 	"time"
 )
 
-// Runtime HTTP surface: Prometheus text at /metrics, expvar-compatible
-// JSON at /debug/vars, and the full net/http/pprof suite at
-// /debug/pprof/. Everything hangs off a private mux so the package never
-// mutates http.DefaultServeMux or the process-global expvar table —
-// multiple servers over multiple registries coexist (which the tests
-// exercise).
-
-// NewMux returns a mux serving reg's observability endpoints.
-func NewMux(reg *Registry) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = reg.Snapshot().WritePrometheus(w)
-	})
-	mux.HandleFunc("/debug/vars", expvarHandler(reg))
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/" {
-			http.NotFound(w, r)
-			return
-		}
-		fmt.Fprint(w, "witag observability: /metrics /debug/vars /debug/pprof/\n")
-	})
-	return mux
-}
-
-// expvarHandler mirrors expvar.Handler's output — the process-global
-// published vars (cmdline, memstats, anything the embedder added) — and
-// appends the registry snapshot under "witag". Duplicating the loop here
-// avoids expvar.Publish, whose global table panics on re-registration.
-func expvarHandler(reg *Registry) http.HandlerFunc {
-	return expvarSnapshotHandler(reg.Snapshot)
-}
-
-// expvarSnapshotHandler is expvarHandler over any snapshot source (a
-// registry, a hub rollup …).
+// expvarSnapshotHandler mirrors expvar.Handler's output — the
+// process-global published vars (cmdline, memstats, anything the
+// embedder added) — and appends snapshot() under "witag". Duplicating the
+// loop here avoids expvar.Publish, whose global table panics on
+// re-registration, so several hub servers coexist in one process.
 func expvarSnapshotHandler(snapshot func() Snapshot) http.HandlerFunc {
 	return func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -71,11 +35,6 @@ type Server struct {
 
 	closeOnce sync.Once
 	closeErr  error
-}
-
-// Serve binds addr and serves reg's endpoints in a background goroutine.
-func Serve(addr string, reg *Registry) (*Server, error) {
-	return ServeHandler(addr, NewMux(reg))
 }
 
 // ServeHandler binds addr and serves an arbitrary handler (the hub mux,

@@ -23,10 +23,20 @@ func get(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
+// hubWithRounds returns a hub whose one campaign has counted n rounds.
+func hubWithRounds(t *testing.T, n int64) *Hub {
+	t.Helper()
+	h := NewHub()
+	c, err := h.Register("a", CampaignOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Registry.Counter("core.rounds").Add(n)
+	return h
+}
+
 func TestServeEndpoints(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("core.rounds").Add(7)
-	srv, err := Serve("127.0.0.1:0", reg)
+	srv, err := ServeHub("127.0.0.1:0", hubWithRounds(t, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,18 +79,15 @@ func TestServeEndpoints(t *testing.T) {
 	}
 }
 
-// Two servers over two registries must coexist: the layer keeps no
+// Two servers over two hubs must coexist: the layer keeps no
 // process-global state (no expvar.Publish, no DefaultServeMux).
 func TestTwoServersCoexist(t *testing.T) {
-	regA, regB := NewRegistry(), NewRegistry()
-	regA.Counter("core.rounds").Add(1)
-	regB.Counter("core.rounds").Add(2)
-	a, err := Serve("127.0.0.1:0", regA)
+	a, err := ServeHub("127.0.0.1:0", hubWithRounds(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := Serve("127.0.0.1:0", regB)
+	b, err := ServeHub("127.0.0.1:0", hubWithRounds(t, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

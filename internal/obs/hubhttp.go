@@ -8,33 +8,24 @@ import (
 	"strings"
 )
 
-// Live campaign HTTP surface. A hub mux extends the single-registry mux
-// with per-campaign endpoints:
+// Live campaign HTTP surface. A hub mux serves the process's
+// observability endpoints, per campaign and rolled up:
 //
 //	/campaigns                    list + status JSON
 //	/campaigns/<id>               one campaign's status JSON
 //	/campaigns/<id>/metrics       Prometheus text (default) or ?format=json snapshot
 //	/campaigns/<id>/events        SSE stream of progress/phase/anomaly/status events
-//	/campaigns/<id>/timeseries    windowed metric time-series JSON (?kind=logical|wall, ?last=N)
+//	/campaigns/<id>/timeseries    windowed metric time-series JSON (?last=N)
 //	/metrics                      process-wide rollup (merged across campaigns)
 //	/metrics?per_campaign=1       label-prefixed rollup (campaign.<id>.<name>)
 //	/healthz                      liveness (always 200 while the process serves)
 //	/readyz                       readiness (503 once the hub begins shutdown)
+//	/debug/vars                   expvar-style JSON with the rollup under "witag"
+//	/debug/pprof/                 the net/http/pprof suite
 //
-// plus the /debug/vars and /debug/pprof/ surfaces the single-registry mux
-// already carries. Everything hangs off a private mux, so several hubs
-// (or a hub and a legacy registry server) coexist in one process.
-
-// registerDebug mounts the expvar-style and pprof endpoints shared by
-// both mux flavours.
-func registerDebug(mux *http.ServeMux, snap func() Snapshot) {
-	mux.HandleFunc("/debug/vars", expvarSnapshotHandler(snap))
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
+// Everything hangs off a private mux, so the package never mutates
+// http.DefaultServeMux or the process-global expvar table and several
+// hubs coexist in one process.
 
 // writeJSON writes v as a compact JSON response.
 func writeJSON(w http.ResponseWriter, v any) {
@@ -86,15 +77,6 @@ func NewHubMux(hub *Hub) *http.ServeMux {
 				return
 			}
 			wins := tl.Windows()
-			if kind := r.URL.Query().Get("kind"); kind != "" {
-				kept := wins[:0]
-				for _, win := range wins {
-					if win.Kind == kind {
-						kept = append(kept, win)
-					}
-				}
-				wins = kept
-			}
 			if lastStr := r.URL.Query().Get("last"); lastStr != "" {
 				var last int
 				if _, err := fmt.Sscanf(lastStr, "%d", &last); err != nil || last < 0 {
@@ -126,7 +108,12 @@ func NewHubMux(hub *Hub) *http.ServeMux {
 		}
 		fmt.Fprintln(w, "ready")
 	})
-	registerDebug(mux, hub.Rollup)
+	mux.HandleFunc("/debug/vars", expvarSnapshotHandler(hub.Rollup))
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
 			http.NotFound(w, r)
@@ -148,8 +135,7 @@ type TimeseriesResponse struct {
 	Windows      []TimelineWindow `json:"windows"`
 }
 
-// ServeHub binds addr and serves hub's endpoints in the background; the
-// returned Server closes like the single-registry one.
+// ServeHub binds addr and serves hub's endpoints in the background.
 func ServeHub(addr string, hub *Hub) (*Server, error) {
 	return ServeHandler(addr, NewHubMux(hub))
 }

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 // simTrials drives a timeline the way sim.Runner does: BeginSegment once
@@ -54,19 +53,13 @@ func TestTimelineLogicalWindowsCloseEveryWindowTrials(t *testing.T) {
 		if w.Seq != i {
 			t.Errorf("window %d Seq = %d", i, w.Seq)
 		}
-		if w.DoneStart != doneStart || w.Trials() != wantTrials[i] {
+		if w.DoneStart != doneStart || w.DoneEnd-w.DoneStart != wantTrials[i] {
 			t.Errorf("window %d spans [%d,%d), want start %d width %d",
 				i, w.DoneStart, w.DoneEnd, doneStart, wantTrials[i])
 		}
 		doneStart = w.DoneEnd
-		if got, want := w.CounterDelta("work.units"), 10*wantTrials[i]; got != want {
+		if got, want := w.Delta.Counters["work.units"], 10*wantTrials[i]; got != want {
 			t.Errorf("window %d delta = %d, want %d", i, got, want)
-		}
-		if got := w.Rate("work.units"); got != 10 {
-			t.Errorf("window %d rate = %v, want 10 per trial", i, got)
-		}
-		if w.WallMs != 0 || w.DurMs != 0 {
-			t.Errorf("window %d carries wall time (%d/%d); logical windows must not", i, w.WallMs, w.DurMs)
 		}
 	}
 	// Flushing with nothing pending is a no-op.
@@ -137,59 +130,12 @@ func TestTimelineLogicalDeltasAreDeterministicView(t *testing.T) {
 	if len(d.Gauges) != 0 {
 		t.Errorf("gauges leaked into a logical delta: %v", d.Gauges)
 	}
-	if got := wins[0].Quantile("lat", 1.0); got != 8 {
+	if got := d.Histograms["lat"].Quantile(1.0); got != 8 {
 		t.Errorf("window p100(lat) = %d, want 8", got)
 	}
-	if got := wins[0].Quantile("lat", 0.5); got != 4 {
+	if got := d.Histograms["lat"].Quantile(0.5); got != 4 {
 		t.Errorf("window p50(lat) = %d, want 4 (nearest-rank upper bound)", got)
 	}
-}
-
-func TestTimelineWallWindowsKeepVolatileAndStampTime(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("work.units").Add(5)
-	wallC := reg.Counter("wall.us", Volatile)
-	tl := NewTimeline(reg, TimelineConfig{})
-
-	wallC.Add(100)
-	reg.Counter("work.units").Add(3)
-	tl.SampleWall()
-	wallC.Add(50)
-	tl.SampleWall()
-
-	wins := tl.Windows()
-	if len(wins) != 2 {
-		t.Fatalf("%d windows, want 2", len(wins))
-	}
-	for i, w := range wins {
-		if w.Kind != WindowWall || w.Seq != i {
-			t.Errorf("window %d: kind %q seq %d", i, w.Kind, w.Seq)
-		}
-	}
-	// Baseline was taken at NewTimeline, so the pre-attach 5 is excluded.
-	if got := wins[0].CounterDelta("work.units"); got != 3 {
-		t.Errorf("wall delta work.units = %d, want 3", got)
-	}
-	if got := wins[0].CounterDelta("wall.us"); got != 100 {
-		t.Errorf("wall windows must keep volatile counters: got %d, want 100", got)
-	}
-	if got := wins[1].CounterDelta("wall.us"); got != 50 {
-		t.Errorf("second wall delta = %d, want 50", got)
-	}
-}
-
-func TestTimelineWallSamplerStopIsIdempotent(t *testing.T) {
-	reg := NewRegistry()
-	tl := NewTimeline(reg, TimelineConfig{})
-	stop := tl.StartWallSampler(time.Millisecond)
-	time.Sleep(5 * time.Millisecond)
-	stop()
-	stop() // second call must not panic (close of closed channel)
-	if tl.Total() == 0 {
-		t.Error("sampler closed no wall windows in 5ms at 1ms interval")
-	}
-	noop := tl.StartWallSampler(0)
-	noop()
 }
 
 func TestTimelineRingDropsOldestAndCounts(t *testing.T) {
@@ -210,32 +156,6 @@ func TestTimelineRingDropsOldestAndCounts(t *testing.T) {
 	}
 	if wins[0].Seq != 3 || wins[1].Seq != 4 {
 		t.Errorf("ring kept Seq %d,%d — want the newest (3,4)", wins[0].Seq, wins[1].Seq)
-	}
-}
-
-func TestTimelineSeriesQueries(t *testing.T) {
-	reg := NewRegistry()
-	c := reg.Counter("work.units")
-	tl := NewTimeline(reg, TimelineConfig{WindowTrials: 2})
-
-	// Window deltas 2, 6, 12 over 2 trials each: rates 1, 3, 6.
-	tl.BeginSegment()
-	for i, add := range []int64{2, 6, 12} {
-		c.Add(add)
-		tl.NoteTrials(2*i, 2*i+2)
-	}
-	wins := tl.Windows()
-	if got := CounterSeries(wins, "work.units"); !reflect.DeepEqual(got, []int64{2, 6, 12}) {
-		t.Errorf("CounterSeries = %v", got)
-	}
-	if got := RateSeries(wins, "work.units"); !reflect.DeepEqual(got, []float64{1, 3, 6}) {
-		t.Errorf("RateSeries = %v", got)
-	}
-	if got := DerivativeSeries(wins, "work.units"); !reflect.DeepEqual(got, []float64{1, 2, 3}) {
-		t.Errorf("DerivativeSeries = %v", got)
-	}
-	if got := CounterSeries(wins, "nope"); !reflect.DeepEqual(got, []int64{0, 0, 0}) {
-		t.Errorf("missing counter series = %v, want zeros", got)
 	}
 }
 
@@ -265,9 +185,6 @@ func TestTimelineJSONLRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(log.Windows, tl.Windows()) {
 		t.Errorf("windows did not round-trip:\n got %+v\nwant %+v", log.Windows, tl.Windows())
-	}
-	if got := len(log.Logical()); got != 2 {
-		t.Errorf("Logical() = %d windows, want 2", got)
 	}
 }
 
@@ -316,13 +233,36 @@ func TestReadTimelineLogToleratesTruncatedTail(t *testing.T) {
 	}
 }
 
+func TestReadTimelineLogRejectsNonLogicalWindows(t *testing.T) {
+	reg := NewRegistry()
+	c := reg.Counter("work.units")
+	tl := NewTimeline(reg, TimelineConfig{WindowTrials: 2})
+	simTrials(t, tl, c, 4, 1)
+
+	var buf bytes.Buffer
+	if err := tl.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// A wall-clock window record, as older exports could carry, is an
+	// error naming its line — even as the final line.
+	lines := strings.SplitAfter(buf.String(), "\n")
+	wall := `{"kind":"wall","seq":0,"done_start":0,"done_end":4,"wall_ms":5,"dur_ms":5,"delta":{}}` + "\n"
+	for _, in := range []string{
+		lines[0] + wall + strings.Join(lines[1:], ""),
+		buf.String() + wall,
+	} {
+		_, err := ReadTimelineLog(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "line ") || !strings.Contains(err.Error(), `"wall"`) {
+			t.Errorf("wall window read back as %v, want an error naming the line and kind", err)
+		}
+	}
+}
+
 func TestTimelineNilSafety(t *testing.T) {
 	var tl *Timeline
 	tl.BeginSegment()
 	tl.NoteTrials(0, 4)
 	tl.Flush()
-	tl.SampleWall()
-	tl.StartWallSampler(time.Second)()
 	if tl.Windows() != nil {
 		t.Error("nil timeline Windows() != nil")
 	}
@@ -332,8 +272,8 @@ func TestTimelineNilSafety(t *testing.T) {
 }
 
 func TestTimelineWindowJSONShape(t *testing.T) {
-	// Logical windows must not serialise wall fields at all — the JSONL
-	// determinism guarantee depends on omitempty dropping them.
+	// Windows must not serialise wall fields at all — the JSONL
+	// determinism guarantee depends on it.
 	w := TimelineWindow{Kind: WindowLogical, Seq: 0, DoneEnd: 4, Delta: emptySnapshot().Deterministic()}
 	raw, err := json.Marshal(w)
 	if err != nil {

@@ -209,6 +209,68 @@ func TestEffectiveSINR(t *testing.T) {
 	}
 }
 
+// TestLinkModelProperties checks the analytic link model over its whole
+// input domain: for every HT MCS 0–7 and an SINR grid from 0 to +Inf
+// (plus the SINRs EffectiveSINR yields at distortion 0 and +Inf),
+// CodedBER and SubframeSuccessProb stay in [0,1] and NaN-free, and
+// success never decreases as SINR rises.
+func TestLinkModelProperties(t *testing.T) {
+	grid := []float64{0}
+	for db := -10.0; db <= 45; db += 0.25 {
+		grid = append(grid, SNRFromDb(db))
+	}
+	grid = append(grid, math.Inf(1))
+
+	// EffectiveSINR at the distortion extremes: none leaves the SNR as
+	// is (up to the rounding of 1/(1/snr)), infinite distortion drives
+	// any SNR to 0. Both feed the property checks below.
+	var sinrs []float64
+	for _, snr := range grid {
+		clean, jammed := EffectiveSINR(snr, 0), EffectiveSINR(snr, math.Inf(1))
+		if clean != snr && math.Abs(clean-snr) > 1e-12*snr {
+			t.Errorf("EffectiveSINR(%v, 0) = %v, want the SNR", snr, clean)
+		}
+		if jammed != 0 {
+			t.Errorf("EffectiveSINR(%v, +Inf) = %v, want 0", snr, jammed)
+		}
+		sinrs = append(sinrs, clean, jammed)
+	}
+
+	inUnit := func(v float64) bool { return v >= 0 && v <= 1 }
+	for idx := 0; idx <= 7; idx++ {
+		mcs, err := dot11.HTMCS(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bits := range []int{8, 2048, 12000} {
+			prev := -1.0
+			for _, sinr := range grid {
+				ber, err := CodedBER(mcs, sinr)
+				if err != nil {
+					t.Fatalf("MCS %d SINR %v: %v", idx, sinr, err)
+				}
+				ps, err := SubframeSuccessProb(mcs, sinr, bits)
+				if err != nil {
+					t.Fatalf("MCS %d SINR %v: %v", idx, sinr, err)
+				}
+				if !inUnit(ber) || !inUnit(ps) {
+					t.Errorf("MCS %d SINR %v %d bits: BER %v, success %v outside [0,1]", idx, sinr, bits, ber, ps)
+				}
+				if ps < prev {
+					t.Errorf("MCS %d %d bits: success fell to %v at SINR %v from %v", idx, bits, ps, sinr, prev)
+				}
+				prev = ps
+			}
+			for _, sinr := range sinrs {
+				ps, err := SubframeSuccessProb(mcs, sinr, bits)
+				if err != nil || !inUnit(ps) {
+					t.Errorf("MCS %d effective SINR %v: success %v, %v", idx, sinr, ps, err)
+				}
+			}
+		}
+	}
+}
+
 func TestSNRDbRoundTrip(t *testing.T) {
 	for _, db := range []float64{-10, 0, 3, 20} {
 		if got := SNRToDb(SNRFromDb(db)); math.Abs(got-db) > 1e-9 {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -46,7 +47,10 @@ func (r Runner) workers() int {
 // so workers stay busy regardless of per-item cost; fn must write any
 // output by index into caller-owned storage so the result is identical
 // for every worker count. The first error cancels the context passed to
-// the remaining calls and is the error returned.
+// the remaining calls and is the error returned. A panic in fn becomes
+// that trial's error ("sim: trial <i> panicked: <value>"), so one bad
+// trial fails the campaign like any other error instead of killing the
+// process.
 func (r Runner) Each(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -90,7 +94,7 @@ func (r Runner) Each(ctx context.Context, n int, fn func(ctx context.Context, i 
 						r.Obs.Runner.TrialsStarted.Inc()
 						start = time.Now()
 					}
-					err := fn(ctx, i)
+					err := runTrial(ctx, fn, i)
 					if r.Obs != nil {
 						wall := time.Since(start)
 						busy += wall
@@ -158,6 +162,17 @@ func (r Runner) Each(ctx context.Context, n int, fn func(ctx context.Context, i 
 		return firstErr
 	}
 	return ctx.Err()
+}
+
+// runTrial calls fn(ctx, i), turning a panic into an error naming the
+// trial.
+func runTrial(ctx context.Context, fn func(ctx context.Context, i int) error, i int) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("sim: trial %d panicked: %v", i, v)
+		}
+	}()
+	return fn(ctx, i)
 }
 
 // RunTrials executes every trial on the pool and returns their stats in

@@ -77,3 +77,43 @@ func TestEachCancellationWithInstrumentation(t *testing.T) {
 		t.Errorf("started %d != done %d with no failures", started, done)
 	}
 }
+
+func TestEachPanickingTrialBecomesError(t *testing.T) {
+	r, reg := instrumentedRunner(4)
+	events, unsubscribe := r.Campaign.Events.Subscribe(16)
+	defer unsubscribe()
+	err := r.Each(context.Background(), 8, func(ctx context.Context, i int) error {
+		if i == 3 {
+			panic("bad geometry")
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "sim: trial 3 panicked: bad geometry" {
+		t.Fatalf("Each returned %v, want the panic as trial 3's error", err)
+	}
+	if got := reg.Snapshot().Counters["runner.trials_failed"]; got != 1 {
+		t.Errorf("trials_failed = %d, want 1", got)
+	}
+	unsubscribe()
+	anomalies := 0
+	for ev := range events {
+		if ev.Kind == "anomaly" {
+			anomalies++
+		}
+	}
+	if anomalies != 1 {
+		t.Errorf("campaign published %d anomalies, want 1", anomalies)
+	}
+}
+
+func TestEachPanicRecoveryAllocatesNothingPerTrial(t *testing.T) {
+	r := Runner{Workers: 1}
+	each := func(n int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			_ = r.Each(context.Background(), n, func(context.Context, int) error { return nil })
+		})
+	}
+	if one, many := each(1), each(64); many != one {
+		t.Errorf("Each allocates %v times for 64 trials vs %v for 1", many, one)
+	}
+}
