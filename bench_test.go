@@ -12,6 +12,7 @@
 package witag_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -20,7 +21,9 @@ import (
 	"witag/internal/dot11"
 	"witag/internal/experiments"
 	"witag/internal/phy"
+	"witag/internal/sim"
 	"witag/internal/stats"
+	"witag/internal/tag"
 )
 
 // printOnce gates table output so -benchtime iterations don't spam.
@@ -210,9 +213,93 @@ func BenchmarkQueryRound(b *testing.B) {
 	}
 	rng := stats.NewRNG(2)
 	bits := stats.RandomBits(rng, sys.Spec.DataLen)
+	// One untimed round sizes the system's round scratch, so allocs/op
+	// is the steady state even at -benchtime=1x.
+	if _, err := sys.QueryRound(bits); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sys.QueryRound(bits); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkChannelPair times the round's channel evaluation in the
+// Figure 5 line-of-sight world: the rest and flipped tag states summed
+// over the direct path, four reflectors and four walkers, into one reused
+// buffer as QueryRound does.
+func BenchmarkChannelPair(b *testing.B) {
+	sys, env, err := experiments.LoSTestbed(2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rest, err := sys.Tag.ReflectionFor(false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	flip, err := sys.Tag.ReflectionFor(true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	excess := sys.Tag.ExcessPathM()
+	tagRest := &channel.TagReflection{Pos: sys.TagPos, Coeff: rest, ExcessPathM: excess}
+	tagFlip := &channel.TagReflection{Pos: sys.TagPos, Coeff: flip, ExcessPathM: excess}
+	buf := make([]complex128, 2*env.NumSubcarriers)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := env.ChannelPairInto(buf, sys.ClientPos, sys.APPos, tagRest, tagFlip); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCorruptionCoverage times the tag's coverage schedule for the
+// default query: 60 size-shaped data subframes, every other bit a 0.
+func BenchmarkCorruptionCoverage(b *testing.B) {
+	sys, _, err := experiments.LoSTestbed(2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := sys.Spec
+	airs, err := spec.SubframeAirtimes(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := airs[spec.TriggerLen:]
+	bits := make([]byte, len(data))
+	for i := range bits {
+		bits[i] = byte(i & 1)
+	}
+	timing := tag.QueryTiming{DataStartTick: spec.TriggerLen, SubframeTicks: 1}
+	starts, coverage := make([]float64, len(bits)+1), make([]float64, len(bits))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.Tag.CorruptionCoverageInto(starts, coverage, timing, bits, data, sys.TempC); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMeasureRun times one 250-round Figure 5 trial per op, the same
+// trial every op, on a freshly built line-of-sight deployment; the build
+// is untimed, so allocs/op is the run's own per-trial state.
+func BenchmarkMeasureRun(b *testing.B) {
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sys, env, err := experiments.LoSTestbed(2, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := sim.MeasureRun(ctx, sys, env, 250, 2); err != nil {
 			b.Fatal(err)
 		}
 	}

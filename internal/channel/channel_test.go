@@ -412,11 +412,24 @@ func TestChannelPairMatchesChannel(t *testing.T) {
 		{Pos: Point{6, 1}, Coeff: complex(20, -30)},
 		nil,
 	}
+	// ChannelPairInto reuses one buffer across every pair, left dirty by
+	// the previous one, as a query round's scratch does.
+	buf := make([]complex128, 2*e.NumSubcarriers)
 	for i, a := range states {
 		for j, b := range states {
 			hA, hB, err := e.ChannelPair(tx, rx, a, b)
 			if err != nil {
 				t.Fatal(err)
+			}
+			intoA, intoB, err := e.ChannelPairInto(buf, tx, rx, a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := range hA {
+				if intoA[k] != hA[k] || intoB[k] != hB[k] {
+					t.Fatalf("states %d/%d subcarrier %d: into (%v, %v), pair (%v, %v)",
+						i, j, k, intoA[k], intoB[k], hA[k], hB[k])
+				}
 			}
 			wantA, err := e.Channel(tx, rx, a)
 			if err != nil {
@@ -439,5 +452,8 @@ func TestChannelPairMatchesChannel(t *testing.T) {
 	}
 	if _, _, err := e.ChannelPair(tx, tx, states[0], states[1]); err == nil {
 		t.Fatal("co-located endpoints accepted")
+	}
+	if _, _, err := e.ChannelPairInto(buf[1:], tx, rx, states[0], states[1]); err == nil {
+		t.Fatal("short pair buffer accepted")
 	}
 }

@@ -143,12 +143,22 @@ func (e *Environment) Channel(tx, rx Point, tag *TagReflection) ([]complex128, e
 // reflectors and scatterers only once: each tag state's term is added last
 // to its own copy of that shared sum, which is the order Channel adds it.
 func (e *Environment) ChannelPair(tx, rx Point, tagA, tagB *TagReflection) ([]complex128, []complex128, error) {
+	return e.ChannelPairInto(make([]complex128, 2*max(e.NumSubcarriers, 0)), tx, rx, tagA, tagB)
+}
+
+// ChannelPairInto is ChannelPair writing into dst, which must hold
+// exactly 2·NumSubcarriers values: the first half becomes tagA's channel
+// and the second half tagB's. dst's previous contents are ignored.
+func (e *Environment) ChannelPairInto(dst []complex128, tx, rx Point, tagA, tagB *TagReflection) ([]complex128, []complex128, error) {
 	if err := e.checkLink(tx, rx); err != nil {
 		return nil, nil, err
 	}
 	n := e.NumSubcarriers
-	buf := make([]complex128, 2*n)
-	hA, hB := buf[:n:n], buf[n:]
+	if len(dst) != 2*n {
+		return nil, nil, fmt.Errorf("channel: pair buffer holds %d values, want %d", len(dst), 2*n)
+	}
+	hA, hB := dst[:n:n], dst[n:]
+	clear(hA)
 	if err := e.addStatic(hA, tx, rx); err != nil {
 		return nil, nil, err
 	}

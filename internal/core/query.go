@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"witag/internal/dot11"
@@ -94,15 +95,20 @@ func minOnAirBytes(cipherOverhead int) int {
 
 // SubframeAirtimes returns every subframe's on-air duration.
 func (q QuerySpec) SubframeAirtimes(cipherOverhead int) ([]time.Duration, error) {
-	out := make([]time.Duration, q.Total())
-	for i := range out {
+	return q.appendSubframeAirtimes(nil, cipherOverhead)
+}
+
+// appendSubframeAirtimes appends every subframe's on-air duration to dst.
+func (q QuerySpec) appendSubframeAirtimes(dst []time.Duration, cipherOverhead int) ([]time.Duration, error) {
+	dst = slices.Grow(dst, q.Total())
+	for i := 0; i < q.Total(); i++ {
 		d, err := dot11.SubframeAirtime(q.onAirBytesAt(i, cipherOverhead), q.MCS, q.Width, q.GI)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = d
+		dst = append(dst, d)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // ShapeForTick fills PayloadSizes so each subframe lasts ticks·tick of

@@ -2,14 +2,17 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
 	"witag/internal/channel"
 	"witag/internal/crypto80211"
 	"witag/internal/dot11"
+	"witag/internal/fault"
 	"witag/internal/phy"
 	"witag/internal/stats"
+	"witag/internal/traffic"
 )
 
 // PSDULen must equal the length of the marshalled byte-level build for
@@ -165,26 +168,155 @@ func benchSystem(t *testing.T) *System {
 	return sys
 }
 
-// A query round builds no frame bytes: it allocates only its results and
-// a handful of per-round slices; the bound keeps it that way.
+// A steady-state query round allocates nothing: the result and every
+// per-round slice, from the bits to the block ACK, live in the System's
+// round scratch, which the warm-up round sizes. The second case attaches
+// a fault injector and an ambient traffic generator, as the
+// adaptive-coding world does, so trigger misses, brownouts, block-ACK
+// losses and collision masks all run under the guard.
 func TestQueryRoundAllocations(t *testing.T) {
-	sys := benchSystem(t)
-	bits := stats.RandomBits(stats.NewRNG(2), sys.Spec.DataLen)
-	if _, err := sys.QueryRound(bits); err != nil {
+	cases := []struct {
+		name            string
+		faults, traffic string
+	}{
+		{"plain", "", ""},
+		{"faults+traffic", "harsh", "saturated"},
+	}
+	for _, tc := range cases {
+		sys := benchSystem(t)
+		if tc.faults != "" {
+			fp, err := fault.Named(tc.faults)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sys.Faults, err = fault.NewInjector(fp, 3); err != nil {
+				t.Fatal(err)
+			}
+			tp, err := traffic.Named(tc.traffic)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sys.Traffic, err = traffic.NewGenerator(tp, 4); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bits := stats.RandomBits(stats.NewRNG(2), sys.Spec.DataLen)
+		if _, err := sys.QueryRound(bits); err != nil {
+			t.Fatal(err)
+		}
+		var roundErr error
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := sys.QueryRound(bits); err != nil {
+				roundErr = err
+			}
+		})
+		if roundErr != nil {
+			t.Fatal(roundErr)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: QueryRound allocates %v objects per round, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// QueryRound's result is the System's round scratch: every round returns
+// the same *RoundResult, and a round may take the previous round's TxBits
+// or RxBits (or a tail of them) as its input, aliasing the buffers it
+// overwrites, and still match a twin system fed fresh copies of the bits.
+func TestQueryRoundResultOwnership(t *testing.T) {
+	sys, env := testbed(t, 2, 31)
+	twin, twinEnv := testbed(t, 2, 31)
+	bits := stats.RandomBits(stats.NewRNG(5), sys.Spec.DataLen)
+	res, err := sys.QueryRound(bits)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var roundErr error
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := sys.QueryRound(bits); err != nil {
-			roundErr = err
-		}
-	})
-	if roundErr != nil {
-		t.Fatal(roundErr)
+	if _, err := twin.QueryRound(bits); err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("QueryRound: %v allocs/round", allocs)
-	if allocs > 16 {
-		t.Fatalf("QueryRound allocates %v objects per round, want ≤ 16", allocs)
+	first := res
+	inputs := []func(*RoundResult) []byte{
+		func(r *RoundResult) []byte { return r.TxBits },
+		func(r *RoundResult) []byte { return r.RxBits },
+		func(r *RoundResult) []byte { return r.TxBits[7:] },
+		func(r *RoundResult) []byte { return r.RxBits[:20] },
+	}
+	for round, input := range inputs {
+		env.Advance(0.05)
+		twinEnv.Advance(0.05)
+		in := input(res)
+		fresh := append([]byte(nil), in...)
+		if res, err = sys.QueryRound(in); err != nil {
+			t.Fatal(err)
+		}
+		want, err := twin.QueryRound(fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res != first {
+			t.Fatalf("round %d returned a new *RoundResult; want the System's scratch", round+2)
+		}
+		if !reflect.DeepEqual(*res, *want) {
+			t.Fatalf("round %d on aliased input: %+v\ntwin on a fresh copy: %+v", round+2, *res, *want)
+		}
+	}
+}
+
+// The scratch carries no state from round to round: a System reusing it
+// matches, field for field, a twin whose scratch is dropped before every
+// round, as if each round allocated afresh. Faults and ambient traffic
+// interleave detected rounds with trigger misses, brownouts and lost
+// block ACKs, so every path that must overwrite or clear a buffer runs
+// after one that filled it.
+func TestQueryRoundScratchCarriesNoState(t *testing.T) {
+	build := func() (*System, *channel.Environment) {
+		sys, env := testbed(t, 3, 47)
+		fp, err := fault.Named("harsh")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sys.Faults, err = fault.NewInjector(fp, 5); err != nil {
+			t.Fatal(err)
+		}
+		tp, err := traffic.Named("office")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sys.Traffic, err = traffic.NewGenerator(tp, 6); err != nil {
+			t.Fatal(err)
+		}
+		return sys, env
+	}
+	sys, env := build()
+	fresh, freshEnv := build()
+	rng := stats.NewRNG(8)
+	var undetected, baLost int
+	for r := 0; r < 400; r++ {
+		env.Advance(0.05)
+		freshEnv.Advance(0.05)
+		// Short payloads too, so the idle padding is rewritten.
+		bits := stats.RandomBits(rng, 1+rng.Intn(sys.Spec.DataLen))
+		got, err := sys.QueryRound(bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh.scratch = roundScratch{}
+		want, err := fresh.QueryRound(bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(*got, *want) {
+			t.Fatalf("round %d: reused scratch %+v\nfresh scratch %+v", r, *got, *want)
+		}
+		if !got.Detected {
+			undetected++
+		}
+		if got.BALost {
+			baLost++
+		}
+	}
+	if undetected == 0 || baLost == 0 {
+		t.Fatalf("%d undetected and %d BA-lost rounds in 400; the test needs both", undetected, baLost)
 	}
 }
 

@@ -76,6 +76,30 @@ type System struct {
 
 	rng      *rand.Rand
 	roundSeq int
+	scratch  roundScratch
+}
+
+// roundScratch is the storage QueryRound fills each round: the result it
+// returns and every per-round slice from the bits to the block ACK. Each
+// buffer grows on first use and is overwritten by every later round, so a
+// steady-state round allocates nothing.
+type roundScratch struct {
+	res      RoundResult
+	txBits   []byte
+	bitmap   []byte // block-ACK bits, trigger positions first
+	airs     []time.Duration
+	chans    []complex128 // rest channel, then flipped channel
+	starts   []float64    // true subframe boundaries
+	coverage []float64
+}
+
+// resize returns buf resliced to n elements, allocating only when its
+// capacity is short. The contents are left for the caller to overwrite.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // DefaultQuerySpec returns the paper-flavoured query: 4 trigger subframes
@@ -159,7 +183,10 @@ func (s *System) cipherOverhead() int {
 	return s.Cipher.Overhead()
 }
 
-// RoundResult reports one query round.
+// RoundResult reports one query round. QueryRound returns one that lives
+// in its System's round scratch: the result and its TxBits/RxBits stay
+// valid only until the next QueryRound on the same System, which
+// overwrites them. A caller that keeps bits across rounds must copy them.
 type RoundResult struct {
 	TxBits    []byte // bits the tag attempted to send
 	RxBits    []byte // bits the client read from the block ACK; nil when BALost
@@ -186,7 +213,13 @@ func (r *RoundResult) BER() float64 {
 // QueryRound runs one §4 exchange: the client transmits a query A-MPDU,
 // the tag modulates it, the AP block-ACKs, the client reads tag bits from
 // the bitmap. bits must have length ≤ Spec.DataLen; missing bits are
-// padded with 1 (tag idle).
+// padded with 1 (tag idle). bits may be the previous round's TxBits or
+// RxBits.
+//
+// The returned result, with its TxBits and RxBits, is the System's own
+// round scratch, in the way bufio.Scanner.Bytes is the scanner's buffer:
+// it stays valid until the next QueryRound on s. Reusing it is what keeps
+// a steady-state round free of heap allocations.
 func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 	// Phase-attribution spans (DESIGN.md §14). The round is carved into
 	// contiguous, non-overlapping regions so phase totals sum to ~the whole
@@ -211,7 +244,9 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 	if len(bits) > s.Spec.DataLen {
 		return nil, fmt.Errorf("core: %d bits exceed the query's %d data subframes", len(bits), s.Spec.DataLen)
 	}
-	txBits := make([]byte, s.Spec.DataLen)
+	sc := &s.scratch
+	sc.txBits = resize(sc.txBits, s.Spec.DataLen)
+	txBits := sc.txBits
 	for i := range txBits {
 		if i < len(bits) {
 			txBits[i] = bits[i] & 1
@@ -232,10 +267,11 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	airs, err := s.Spec.SubframeAirtimes(overhead)
+	sc.airs, err = s.Spec.appendSubframeAirtimes(sc.airs[:0], overhead)
 	if err != nil {
 		return nil, err
 	}
+	airs := sc.airs
 	spans.End(obs.PhaseEncode, sp)
 	sp = spans.Start()
 
@@ -273,7 +309,8 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 		return nil, err
 	}
 	excess := s.Tag.ExcessPathM()
-	hRest, hFlip, err := s.Env.ChannelPair(s.ClientPos, s.APPos,
+	sc.chans = resize(sc.chans, 2*max(s.Env.NumSubcarriers, 0))
+	hRest, hFlip, err := s.Env.ChannelPairInto(sc.chans, s.ClientPos, s.APPos,
 		&channel.TagReflection{Pos: s.TagPos, Coeff: restCoeff, ExcessPathM: excess},
 		&channel.TagReflection{Pos: s.TagPos, Coeff: flipCoeff, ExcessPathM: excess})
 	if err != nil {
@@ -291,10 +328,11 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 	sp = spans.Start()
 
 	// --- Per-subframe corruption coverage. ---
-	var coverage []float64
+	sc.coverage = resize(sc.coverage, s.Spec.DataLen)
+	sc.starts = resize(sc.starts, s.Spec.DataLen+1)
+	coverage := sc.coverage
 	if detected {
-		coverage, err = s.Tag.CorruptionCoverageSchedule(timing, txBits, airs[s.Spec.TriggerLen:], s.TempC)
-		if err != nil {
+		if _, err := s.Tag.CorruptionCoverageInto(sc.starts, coverage, timing, txBits, airs[s.Spec.TriggerLen:], s.TempC); err != nil {
 			return nil, err
 		}
 		// A browned-out switch freezes in its rest state: the window's
@@ -303,7 +341,7 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 			coverage[i] = 0
 		}
 	} else {
-		coverage = make([]float64, s.Spec.DataLen)
+		clear(coverage)
 	}
 
 	// Ambient traffic draws once per round at this fixed point, from its
@@ -365,7 +403,8 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 		baLost = true
 	}
 
-	res := &RoundResult{
+	res := &sc.res
+	*res = RoundResult{
 		TxBits:       txBits,
 		Detected:     detected,
 		BALost:       baLost,
@@ -378,11 +417,11 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 		res.BitErrors = len(txBits)
 	} else {
 		// --- Client side: read tag bits out of the bitmap. ---
-		allBits, err := ba.BitmapBits(s.Spec.TriggerLen + s.Spec.DataLen)
+		sc.bitmap, err = ba.AppendBitmapBits(sc.bitmap[:0], s.Spec.Total())
 		if err != nil {
 			return nil, err
 		}
-		res.RxBits = allBits[s.Spec.TriggerLen:]
+		res.RxBits = sc.bitmap[s.Spec.TriggerLen:]
 		for i := range txBits {
 			if txBits[i] != res.RxBits[i] {
 				res.BitErrors++

@@ -3,6 +3,7 @@ package dot11
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"witag/internal/bitio"
 )
@@ -103,14 +104,20 @@ func (ba *BlockAck) SetAcked(seq uint16) error {
 // position 0 first — the exact byte stream a WiTAG reader hands to the tag
 // data decoder.
 func (ba *BlockAck) BitmapBits(n int) ([]byte, error) {
+	return ba.AppendBitmapBits(nil, n)
+}
+
+// AppendBitmapBits appends the first n bitmap positions to dst, position 0
+// first, and returns the extended slice.
+func (ba *BlockAck) AppendBitmapBits(dst []byte, n int) ([]byte, error) {
 	if n < 0 || n > 64 {
-		return nil, fmt.Errorf("dot11: bitmap window is 64 bits, requested %d", n)
+		return dst, fmt.Errorf("dot11: bitmap window is 64 bits, requested %d", n)
 	}
-	bits := make([]byte, n)
+	dst = slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
-		bits[i] = byte(ba.Bitmap >> uint(i) & 1)
+		dst = append(dst, byte(ba.Bitmap>>uint(i)&1))
 	}
-	return bits, nil
+	return dst, nil
 }
 
 // BlockAckReq is the control frame soliciting a block ACK. Senders of

@@ -359,6 +359,18 @@ func TestBlockAckBitmapBits(t *testing.T) {
 	if _, err := ba.BitmapBits(-1); err == nil {
 		t.Fatal("negative window accepted")
 	}
+	// The append form extends dst in place once it has room.
+	dst := append(make([]byte, 0, 64), 9)
+	got, err := ba.AppendBitmapBits(dst, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, []byte{9, 1, 1, 0, 1, 0}) || &got[0] != &dst[0] {
+		t.Fatalf("appended bits = %v, or not in dst's array", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = ba.AppendBitmapBits(dst[:0], 64) }); n != 0 {
+		t.Fatalf("AppendBitmapBits into a 64-byte buffer: %v allocs, want 0", n)
+	}
 }
 
 func TestBlockAckReqRoundTrip(t *testing.T) {

@@ -87,7 +87,8 @@ func TestCodingSchemeOutsideSeedTree(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got = append(got, roundObs{res.Detected, res.BALost, res.BitErrors, res.RxBits})
+				// RxBits is the system's round scratch: keep a copy.
+				got = append(got, roundObs{res.Detected, res.BALost, res.BitErrors, append([]byte(nil), res.RxBits...)})
 				env.Advance(0.05)
 			}
 			if si == 0 {

@@ -163,27 +163,33 @@ func DistortionAfterCPE(hTrue, hEst []complex128) (float64, error) {
 	if len(hTrue) != len(hEst) || len(hTrue) == 0 {
 		return 0, fmt.Errorf("phy: distortion needs equal non-empty channels (%d vs %d)", len(hTrue), len(hEst))
 	}
-	g := make([]complex128, len(hTrue))
+	// Two passes over g_k, each recomputing the quotient: a complex
+	// division is a deterministic function of its operands, so the second
+	// pass sees exactly the g_k the first one summed, with nothing stored.
 	var mean complex128
 	for k := range hTrue {
-		den := hEst[k]
-		if den == 0 {
-			den = 1e-12
-		}
-		g[k] = hTrue[k] / den
-		mean += g[k]
+		mean += channelRatio(hTrue[k], hEst[k])
 	}
-	mean /= complex(float64(len(g)), 0)
+	mean /= complex(float64(len(hTrue)), 0)
 	cpe := complex128(1)
 	if mean != 0 {
 		cpe = cmplx.Exp(complex(0, -cmplx.Phase(mean)))
 	}
 	var d float64
-	for _, gk := range g {
-		e := gk*cpe - 1
+	for k := range hTrue {
+		e := channelRatio(hTrue[k], hEst[k])*cpe - 1
 		d += real(e)*real(e) + imag(e)*imag(e)
 	}
-	return d / float64(len(g)), nil
+	return d / float64(len(hTrue)), nil
+}
+
+// channelRatio is g_k = hTrue_k/hEst_k, with a null estimate replaced by a
+// tiny real value so a faded subcarrier yields a huge but finite ratio.
+func channelRatio(hTrue, hEst complex128) complex128 {
+	if hEst == 0 {
+		hEst = 1e-12
+	}
+	return hTrue / hEst
 }
 
 // EffectiveSINR combines thermal SNR with equalisation distortion:

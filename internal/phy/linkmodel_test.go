@@ -130,9 +130,18 @@ func TestSubframeSuccessProb(t *testing.T) {
 	}
 }
 
-// The link model runs per subframe of every query round; it must not
-// allocate at any code rate.
+// The link model runs per subframe of every query round, and the
+// distortion once per round; neither may allocate.
 func TestLinkModelAllocationFree(t *testing.T) {
+	hEst := make([]complex128, 52)
+	hTrue := make([]complex128, len(hEst))
+	for k := range hEst {
+		hEst[k] = complex(1, 0.01*float64(k))
+		hTrue[k] = Rotate(hEst[k], 0.05*float64(k))
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = DistortionAfterCPE(hTrue, hEst) }); n != 0 {
+		t.Errorf("DistortionAfterCPE: %v allocs/call, want 0", n)
+	}
 	for idx := 0; idx <= 7; idx++ {
 		mcs, err := dot11.HTMCS(idx)
 		if err != nil {

@@ -94,12 +94,15 @@ func MeasureRun(ctx context.Context, sys *core.System, env *channel.Environment,
 	rng := stats.NewRNG(seed)
 	var rs RunStats
 	detected := 0
+	// One payload buffer per run, refilled with RandomBits' draws each
+	// round; QueryRound copies it into its own scratch.
+	bits := make([]byte, sys.Spec.DataLen)
 	for r := 0; r < rounds; r++ {
 		if err := ctx.Err(); err != nil {
 			return rs, err
 		}
 		env.Advance(0.05)
-		bits := stats.RandomBits(rng, sys.Spec.DataLen)
+		stats.FillRandomBits(rng, bits)
 		res, err := sys.QueryRound(bits)
 		if err != nil {
 			return rs, err

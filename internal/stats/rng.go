@@ -89,10 +89,16 @@ func Uniform(r *rand.Rand, lo, hi float64) float64 {
 // RandomBits fills a fresh slice of n pseudo-random bits (0 or 1).
 func RandomBits(r *rand.Rand, n int) []byte {
 	bits := make([]byte, n)
+	FillRandomBits(r, bits)
+	return bits
+}
+
+// FillRandomBits overwrites bits with pseudo-random bits (0 or 1), one
+// r.Intn(2) draw per position in order — the draws RandomBits makes.
+func FillRandomBits(r *rand.Rand, bits []byte) {
 	for i := range bits {
 		bits[i] = byte(r.Intn(2))
 	}
-	return bits
 }
 
 // RandomBytes fills a fresh slice of n pseudo-random bytes.

@@ -122,6 +122,17 @@ func TestRandomBitsAndBytes(t *testing.T) {
 	if got := len(RandomBytes(r, 33)); got != 33 {
 		t.Fatalf("RandomBytes length = %d", got)
 	}
+	// FillRandomBits makes RandomBits' draws into a reused buffer: two
+	// equally seeded streams stay in lockstep, fill after fill.
+	fresh, reused := NewRNG(9), NewRNG(9)
+	buf := []byte{7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7}
+	for round := 0; round < 20; round++ {
+		n := 1 + round%len(buf)
+		FillRandomBits(reused, buf[:n])
+		if want := RandomBits(fresh, n); string(buf[:n]) != string(want) {
+			t.Fatalf("fill %d: %v, RandomBits %v", round, buf[:n], want)
+		}
+	}
 }
 
 func TestMeanVarianceKnown(t *testing.T) {

@@ -74,11 +74,23 @@ func (t *Tag) CorruptionCoverage(timing QueryTiming, bits []byte, trueSubframe t
 // cumulative subframe boundaries aligned to the tag's tick grid even
 // though a single tick-aligned size does not exist at the chosen rate.
 func (t *Tag) CorruptionCoverageSchedule(timing QueryTiming, bits []byte, trueDurations []time.Duration, tempC float64) ([]float64, error) {
+	return t.CorruptionCoverageInto(make([]float64, len(bits)+1), make([]float64, len(bits)), timing, bits, trueDurations, tempC)
+}
+
+// CorruptionCoverageInto is CorruptionCoverageSchedule writing into
+// caller buffers: starts (len(bits)+1 values) receives the true subframe
+// boundaries, and coverage (len(bits) values) is overwritten with the
+// result and returned. The arithmetic, and its order, is
+// CorruptionCoverageSchedule's.
+func (t *Tag) CorruptionCoverageInto(starts, coverage []float64, timing QueryTiming, bits []byte, trueDurations []time.Duration, tempC float64) ([]float64, error) {
 	if timing.SubframeTicks <= 0 {
 		return nil, fmt.Errorf("tag: non-positive subframe ticks %d", timing.SubframeTicks)
 	}
 	if len(trueDurations) != len(bits) {
 		return nil, fmt.Errorf("tag: %d durations for %d bits", len(trueDurations), len(bits))
+	}
+	if len(starts) != len(bits)+1 || len(coverage) != len(bits) {
+		return nil, fmt.Errorf("tag: buffers of %d boundaries and %d coverages for %d bits", len(starts), len(coverage), len(bits))
 	}
 	for i, d := range trueDurations {
 		if d <= 0 {
@@ -96,12 +108,12 @@ func (t *Tag) CorruptionCoverageSchedule(timing QueryTiming, bits []byte, trueDu
 	guard := t.GuardFraction * sTag
 
 	// True subframe boundaries.
-	starts := make([]float64, len(bits)+1)
+	starts[0] = 0
 	for i, d := range trueDurations {
 		starts[i+1] = starts[i] + d.Seconds()
 	}
 
-	coverage := make([]float64, len(bits))
+	clear(coverage)
 	for i, b := range bits {
 		if b&1 == 1 {
 			continue // bit 1: tag rests, no corruption window

@@ -167,6 +167,7 @@ type Generator struct {
 	prof  Profile
 	rng   *rand.Rand
 	state int
+	mask  []bool // RoundMask's result, reused round to round
 }
 
 // NewGenerator validates p and seeds the generator's private RNG stream.
@@ -184,8 +185,16 @@ func (g *Generator) State() int { return g.state }
 // mask over n subframes: mask[i] reports that an ambient burst overlapped
 // subframe i. The draw order is fixed (transition, count, then start and
 // length per burst) so the stream is a pure function of the seed.
+//
+// The mask is the generator's own buffer, cleared and refilled by every
+// call: it stays valid only until the next RoundMask on g, and a caller
+// that keeps it longer must copy it.
 func (g *Generator) RoundMask(n int) []bool {
-	mask := make([]bool, n)
+	if cap(g.mask) < n {
+		g.mask = make([]bool, n)
+	}
+	mask := g.mask[:n]
+	clear(mask)
 	// 1. Step the load chain.
 	u := g.rng.Float64()
 	row := g.prof.Trans[g.state]

@@ -123,3 +123,56 @@ func TestPoissonMoments(t *testing.T) {
 		t.Fatal("non-positive mean must yield 0")
 	}
 }
+
+// refRoundMask is RoundMask as it was while it allocated a fresh mask per
+// call (without the observer hook).
+func refRoundMask(g *Generator, n int) []bool {
+	mask := make([]bool, n)
+	u := g.rng.Float64()
+	row := g.prof.Trans[g.state]
+	next := len(row) - 1
+	acc := 0.0
+	for j, pj := range row {
+		acc += pj
+		if u < acc {
+			next = j
+			break
+		}
+	}
+	g.state = next
+	st := g.prof.States[g.state]
+	bursts := stats.Poisson(g.rng, st.ArrivalsPerRound)
+	for b := 0; b < bursts; b++ {
+		start := g.rng.Intn(n)
+		length := int(stats.Exponential(g.rng, st.MeanBurstSubframes)) + 1
+		for i := start; i < start+length && i < n; i++ {
+			mask[i] = true
+		}
+	}
+	return mask
+}
+
+// RoundMask hands out one generator-owned buffer, cleared before each
+// round's bursts are drawn into it: the masks, and the draws behind them,
+// match a fresh mask per call, across mask lengths that shrink and grow.
+func TestRoundMaskReusesClearedBuffer(t *testing.T) {
+	p, _ := Named("saturated")
+	g, _ := NewGenerator(p, 5)
+	ref, _ := NewGenerator(p, 5)
+	lengths := []int{64, 17, 64, 1, 40, 64}
+	first := &g.RoundMask(64)[0]
+	refRoundMask(ref, 64)
+	for r := 0; r < 600; r++ {
+		n := lengths[r%len(lengths)]
+		got := g.RoundMask(n)
+		if want := refRoundMask(ref, n); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d (n=%d): mask %v, want %v", r, n, got, want)
+		}
+		if &got[0] != first {
+			t.Fatalf("round %d: RoundMask reallocated its buffer", r)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { g.RoundMask(64) }); n != 0 {
+		t.Fatalf("RoundMask: %v allocs per round, want 0", n)
+	}
+}
