@@ -368,7 +368,7 @@ func TestCodedTransfersSurviveBurstFaults(t *testing.T) {
 		if !st.Delivered || !bytes.Equal(st.Received, payload) {
 			t.Fatalf("%s transfer failed under burst faults: %+v", name, st)
 		}
-		if st.FrameErasures+st.FrameErrors == 0 {
+		if st.RoundFailures+st.FrameErrors() == 0 {
 			t.Fatalf("%s: burst profile caused zero frame losses — injector inert?", name)
 		}
 	}

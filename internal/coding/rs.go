@@ -20,7 +20,7 @@ const MaxShards = 255
 
 // RS is one (k, m) erasure-code instance. Instances are immutable and
 // safe for concurrent use; building one costs a k×k matrix inversion, so
-// the adaptive transferer caches them per (k, m).
+// the adaptive transferer caches one per k.
 type RS struct {
 	K int // data shards
 	M int // parity shards

@@ -3,33 +3,23 @@ package coding
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"time"
 
 	"witag/internal/channel"
 	"witag/internal/core"
+	"witag/internal/link"
 	"witag/internal/obs"
 	"witag/internal/stats"
 )
 
-// Transfer modes. Both transferers drive one core.System the way
-// link.Transferer does — every encoded symbol/shard rides in one
-// CRC-protected core.Codec frame spanning however many query rounds its
-// bits need — so ARQ, fountain and RS compare over identical worlds.
+// Transfer modes. Both transferers are outer loops over link.Carrier,
+// the frame carrier under ARQ too: every encoded symbol/shard rides in
+// one CRC-protected core.Codec frame spanning however many query rounds
+// its bits need, so ARQ, fountain and RS compare over identical worlds
+// and report the same link.Stats. Unlike ARQ, which backs off only when
+// it retries, both coded modes charge a backoff on every erased frame.
 
-// Backoff bounds the wait after a round erasure (missed trigger or lost
-// block ACK), mirroring link.Policy's capped exponential with jitter.
-type Backoff struct {
-	Base time.Duration
-	Cap  time.Duration
-	// JitterFrac spreads each wait by ±this fraction from the labeled RNG.
-	JitterFrac float64
-}
-
-// DefaultBackoff matches link.DefaultPolicy's pacing.
-func DefaultBackoff() Backoff {
-	return Backoff{Base: 2 * time.Millisecond, Cap: 32 * time.Millisecond, JitterFrac: 0.25}
-}
+// Stats reports one coded transfer.
+type Stats = link.Stats
 
 // DefaultCodec is the fixed per-frame protection both coded modes use:
 // SECDED with moderate interleaving, the middle rung of link's ladder.
@@ -39,173 +29,10 @@ func DefaultBackoff() Backoff {
 // state intact, starving the erasure layer of symbols.
 func DefaultCodec() core.Codec { return core.Codec{FEC: true, InterleaveDepth: 8} }
 
-// Stats reports one coded transfer; the field set is the union of both
-// schemes so the experiment harness aggregates them uniformly.
-type Stats struct {
-	Delivered    bool
-	PayloadBytes int
-	Received     []byte `json:"-"`
-
-	FramesSent    int // symbol/shard frames put on the air
-	FramesOK      int // frames whose CRC verdict was clean
-	FrameErasures int // frames erased by a missed trigger or lost BA
-	FrameErrors   int // frames lost to CRC/decode failure
-	Rounds        int // query rounds on the air
-
-	DecodeAttempts int // peeling passes (fountain) / reconstructions (RS)
-	ParityResizes  int // GuardRider adaptation events (RS only)
-	FinalK, FinalN int // last block geometry (RS only)
-
-	BackoffWait time.Duration
-	Airtime     time.Duration // on-air time plus backoff waits
-}
-
-// GoodputBps returns delivered payload bits per second of airtime.
-func (s *Stats) GoodputBps() float64 {
-	if !s.Delivered || s.Airtime <= 0 {
-		return 0
-	}
-	return float64(s.PayloadBytes*8) / s.Airtime.Seconds()
-}
-
-// frameOutcome classifies one frame attempt.
-type frameOutcome int
-
-const (
-	frameOK frameOutcome = iota
-	frameErased
-	frameError
-)
-
-// sender is the shared frame loop: encode a frame payload with the fixed
-// codec, push its bits through query rounds, decode the client's view.
-// Not safe for concurrent use, like the System it drives.
-type sender struct {
-	sys   *core.System
-	env   *channel.Environment
-	stepS float64
-	codec core.Codec
-	bo    Backoff
-	rng   *rand.Rand
-
-	o           *obs.Observer
-	traceID     int
-	traceLabels string
-
-	consecErased int
-}
-
-// spans returns the sender's phase timers (nil when detached).
-func (s *sender) spans() *obs.Spans {
-	if s.o != nil {
-		return s.o.Spans
-	}
-	return nil
-}
-
-// send pushes one frame and classifies the outcome; on frameOK the
-// decoded frame payload is returned.
-func (s *sender) send(fp []byte, st *Stats) ([]byte, frameOutcome, error) {
-	spans := s.spans()
-	sp := spans.Start()
-	bits, err := s.codec.Encode(fp)
-	if err != nil {
-		return nil, frameError, err
-	}
-	spans.End(obs.PhaseCodingEncode, sp)
-	st.FramesSent++
-	dataLen := s.sys.Spec.DataLen
-	rxBits := make([]byte, 0, len(bits))
-	for off := 0; off < len(bits); off += dataLen {
-		end := off + dataLen
-		if end > len(bits) {
-			end = len(bits)
-		}
-		if s.env != nil {
-			s.env.Advance(s.stepS)
-		}
-		res, err := s.sys.QueryRound(bits[off:end])
-		if err != nil {
-			return nil, frameError, err
-		}
-		sp = spans.Start()
-		st.Rounds++
-		st.Airtime += res.Airtime
-		if res.BALost || !res.Detected {
-			st.FrameErasures++
-			s.backoff(st)
-			spans.End(obs.PhaseARQRound, sp)
-			return nil, frameErased, nil
-		}
-		rxBits = append(rxBits, res.RxBits[:end-off]...)
-		spans.End(obs.PhaseARQRound, sp)
-	}
-	s.consecErased = 0
-	sp = spans.Start()
-	got, _, derr := s.codec.Decode(rxBits)
-	spans.End(obs.PhaseCodingDecode, sp)
-	if derr != nil {
-		st.FrameErrors++
-		return nil, frameError, nil
-	}
-	st.FramesOK++
-	return got, frameOK, nil
-}
-
-// backoff charges the capped exponential wait after the n-th consecutive
-// round erasure.
-func (s *sender) backoff(st *Stats) {
-	s.consecErased++
-	if s.bo.Base <= 0 {
-		return
-	}
-	d := s.bo.Base
-	for i := 1; i < s.consecErased && d < s.bo.Cap; i++ {
-		d *= 2
-	}
-	if s.bo.Cap > 0 && d > s.bo.Cap {
-		d = s.bo.Cap
-	}
-	if s.bo.JitterFrac > 0 {
-		j := 1 + s.bo.JitterFrac*(2*s.rng.Float64()-1)
-		d = time.Duration(float64(d) * j)
-	}
-	st.BackoffWait += d
-	st.Airtime += d
-}
-
-// trace records one frame attempt's outcome (symbol/shard id in Offset).
-func (s *sender) trace(kind string, id int, outcome string) {
-	if s.o != nil {
-		s.o.Trace.Record(obs.Event{
-			Kind: kind, Trial: s.traceID, Labels: s.traceLabels,
-			Offset: id, Outcome: outcome,
-		})
-	}
-}
-
-// finish flushes the transfer's totals into the metrics registry.
-func (s *sender) finish(scheme string, st *Stats) {
-	if s.o == nil {
-		return
-	}
-	m := s.o.Coding
-	m.FramesSent.Add(int64(st.FramesSent))
-	m.FrameErasures.Add(int64(st.FrameErasures))
-	m.FrameErrors.Add(int64(st.FrameErrors))
-	m.DecodeAttempts.Add(int64(st.DecodeAttempts))
-	m.ParityResizes.Add(int64(st.ParityResizes))
-	if st.Delivered {
-		m.TransfersDelivered.Inc()
-	} else {
-		m.TransfersFailed.Inc()
-	}
-	s.o.Trace.Record(obs.Event{
-		Kind: "transfer", Trial: s.traceID, Labels: s.traceLabels,
-		Delivered: st.Delivered, Length: st.PayloadBytes,
-		Rounds: st.Rounds, Retries: st.FrameErrors + st.FrameErasures,
-		AirtimeUs: st.Airtime.Microseconds(), Outcome: scheme,
-	})
+// newCarrier wires the frame carrier of a coded transferer, its backoff
+// jitter seeded from the transferer seed's "backoff" label.
+func newCarrier(sys *core.System, env *channel.Environment, seed int64) *link.Carrier {
+	return link.NewCarrier(sys, env, link.DefaultPolicy(), stats.SubSeed(seed, "backoff"))
 }
 
 // ---------------------------------------------------------------------
@@ -216,41 +43,26 @@ type FountainConfig struct {
 	// BlockBytes is the source-block (and symbol) size; small symbols
 	// keep the per-erasure loss small under round-erasure-heavy faults.
 	BlockBytes int
-	// MaxSymbols caps the transmit-until-ACK stream; 0 derives
-	// 16·K + 64 from the block count (an undeliverable-channel escape,
-	// not an operating point).
-	MaxSymbols int
-	Codec      core.Codec
-	Backoff    Backoff
 }
 
 // DefaultFountainConfig is the experiment operating point.
-func DefaultFountainConfig() FountainConfig {
-	return FountainConfig{BlockBytes: 12, Codec: DefaultCodec(), Backoff: DefaultBackoff()}
-}
+func DefaultFountainConfig() FountainConfig { return FountainConfig{BlockBytes: 12} }
 
 // FountainTransferer moves payloads with the LT code: keep sending fresh
 // encoded symbols until the peeling decoder completes. A lost symbol
 // costs only the next symbol — there is no retransmission protocol.
 type FountainTransferer struct {
-	Sys    *core.System
-	Env    *channel.Environment
-	StepS  float64
 	Config FountainConfig
-	// Obs, TraceID, TraceLabels mirror link.Transferer's identity fields.
-	Obs         *obs.Observer
-	TraceID     int
-	TraceLabels string
 
+	c    *link.Carrier
 	seed int64
-	rng  *rand.Rand
 }
 
 // NewFountainTransferer wires the rateless loop over sys; seed both the
 // symbol pseudo-randomness and the backoff jitter from one labeled
 // stats.SubSeed path.
 func NewFountainTransferer(sys *core.System, env *channel.Environment, cfg FountainConfig, seed int64) *FountainTransferer {
-	return &FountainTransferer{Sys: sys, Env: env, StepS: 0.05, Config: cfg, seed: seed, rng: stats.NewRNG(stats.SubSeed(seed, "backoff"))}
+	return &FountainTransferer{Config: cfg, c: newCarrier(sys, env, seed), seed: seed}
 }
 
 // fountainHeader is the per-symbol frame header: the 16-bit symbol ID.
@@ -258,81 +70,61 @@ const fountainHeader = 2
 
 // Send moves payload tag→client with transmit-until-decoded semantics.
 func (t *FountainTransferer) Send(ctx context.Context, payload []byte) (*Stats, error) {
-	if len(payload) == 0 || len(payload) > 0xFFFF {
-		return nil, fmt.Errorf("coding: payload %d bytes outside [1,65535]", len(payload))
+	bb := t.Config.BlockBytes
+	if bb < 1 || bb+fountainHeader > core.MaxPayload {
+		return nil, fmt.Errorf("coding: fountain block %dB outside [1,%d]", bb, core.MaxPayload-fountainHeader)
 	}
-	cfg := t.Config
-	if cfg.BlockBytes < 1 {
-		return nil, fmt.Errorf("coding: fountain block size %d", cfg.BlockBytes)
-	}
-	if cfg.BlockBytes+fountainHeader > core.MaxPayload {
-		return nil, fmt.Errorf("coding: fountain block %dB exceeds the %dB frame", cfg.BlockBytes, core.MaxPayload)
-	}
-	f, err := NewFountain(len(payload), cfg.BlockBytes, stats.SubSeed(t.seed, "sym"))
+	c := t.c
+	st, err := c.Begin("fountain", payload)
 	if err != nil {
 		return nil, err
 	}
-	st := &Stats{PayloadBytes: len(payload)}
-	snd := &sender{sys: t.Sys, env: t.Env, stepS: t.StepS, codec: cfg.Codec, bo: cfg.Backoff,
-		rng: t.rng, o: t.Obs, traceID: t.TraceID, traceLabels: t.TraceLabels}
-	if o := t.Obs; o != nil {
-		if t.Env != nil {
-			t.Env.Spans = o.Spans
-		}
-		o.Coding.TransfersStarted.Inc()
+	defer c.Finish()
+	f, err := NewFountain(len(payload), bb, stats.SubSeed(t.seed, "sym"))
+	if err != nil {
+		return st, err
 	}
-	defer snd.finish("fountain", st)
+	spans, o := c.Spans(), c.Obs()
 
 	dec := NewFountainDecoder(f)
-	maxSymbols := cfg.MaxSymbols
-	if maxSymbols <= 0 {
-		maxSymbols = 16*f.K + 64
-	}
+	// The stream cap is an undeliverable-channel escape, not an operating
+	// point.
+	maxSymbols := 16*f.K + 64
 	for id := 0; id < maxSymbols && !dec.Done(); id++ {
-		if err := ctx.Err(); err != nil {
-			return st, err
-		}
-		sp := snd.spans().Start()
+		sp := spans.Start()
 		sym, err := f.Symbol(payload, id)
 		if err != nil {
 			return st, err
 		}
-		snd.spans().End(obs.PhaseCodingEncode, sp)
-		fp := make([]byte, 0, fountainHeader+len(sym))
-		fp = append(fp, byte(id>>8), byte(id))
-		fp = append(fp, sym...)
-		got, outcome, err := snd.send(fp, st)
+		spans.End(obs.PhaseCodingEncode, sp)
+		got, _, v, err := c.Carry(ctx, DefaultCodec(), append([]byte{byte(id >> 8), byte(id)}, sym...))
 		if err != nil {
 			return st, err
 		}
-		if o := t.Obs; o != nil {
+		if o != nil {
 			o.Coding.SymbolsSent.Inc()
 		}
-		switch outcome {
-		case frameErased:
-			snd.trace("symbol", id, "erased")
-			continue
-		case frameError:
-			snd.trace("symbol", id, "frame_error")
-			continue
+		if v == link.FrameErased {
+			c.Backoff()
 		}
-		if len(got) != fountainHeader+cfg.BlockBytes {
-			// CRC passed but the length is wrong — residual corruption;
-			// drop the symbol, the stream provides more.
-			st.FrameErrors++
-			snd.trace("symbol", id, "frame_error")
-			continue
+		if v == link.FrameOK {
+			// A CRC-passing symbol of the wrong length, or one the decoder
+			// rejects, is residual corruption; the stream provides more.
+			if len(got) != fountainHeader+bb {
+				v = link.FrameResidual
+			} else {
+				sp = spans.Start()
+				_, addErr := dec.Add(int(got[0])<<8|int(got[1]), got[fountainHeader:])
+				spans.End(obs.PhaseCodingDecode, sp)
+				if addErr != nil {
+					v = link.FrameResidual
+				}
+			}
+			if v != link.FrameOK {
+				st.ResidualErrors++
+			}
 		}
-		rxID := int(got[0])<<8 | int(got[1])
-		sp = snd.spans().Start()
-		_, addErr := dec.Add(rxID, got[fountainHeader:])
-		snd.spans().End(obs.PhaseCodingDecode, sp)
-		if addErr != nil {
-			st.FrameErrors++
-			snd.trace("symbol", id, "frame_error")
-			continue
-		}
-		snd.trace("symbol", id, "ok")
+		c.Trace(obs.Event{Kind: "symbol", Offset: id, Outcome: v.Outcome()})
 	}
 	st.DecodeAttempts = dec.Attempts
 	if !dec.Done() {
@@ -350,43 +142,33 @@ func (t *FountainTransferer) Send(ctx context.Context, payload []byte) (*Stats, 
 // ---------------------------------------------------------------------
 // RS mode.
 
+// GuardRider adaptation constants of the RS transferer.
+const (
+	// rsWindowFrames sizes the sliding erasure-rate window (GuardRider's
+	// ambient-traffic statistic); rsPriorLoss seeds it before any
+	// observation.
+	rsWindowFrames = 48
+	rsPriorLoss    = 0.10
+	// rsMarginShards is added to the expectation-sized parity budget.
+	rsMarginShards = 1
+	// rsMaxLoss caps the windowed estimate so the parity budget stays
+	// finite on a black channel.
+	rsMaxLoss = 0.75
+	// rsBlockRetries is the parity waves sent after the first when fewer
+	// than k shards survive.
+	rsBlockRetries = 8
+)
+
 // RSConfig parameterises the adaptive Reed-Solomon transferer.
 type RSConfig struct {
 	// ShardBytes is the payload carried per shard frame.
 	ShardBytes int
 	// DataShards is k, the data shards per block.
 	DataShards int
-	// WindowFrames sizes the sliding erasure-rate window (GuardRider's
-	// ambient-traffic statistic); PriorLoss seeds it before any
-	// observation.
-	WindowFrames int
-	PriorLoss    float64
-	// MarginShards is added to the expectation-sized parity budget.
-	MarginShards int
-	// MaxLoss caps the windowed estimate so the parity budget stays
-	// finite on a black channel.
-	MaxLoss float64
-	// BlockRetries re-sends a block (with re-estimated, larger parity)
-	// when fewer than k shards survive.
-	BlockRetries int
-	Codec        core.Codec
-	Backoff      Backoff
 }
 
 // DefaultRSConfig is the experiment operating point.
-func DefaultRSConfig() RSConfig {
-	return RSConfig{
-		ShardBytes:   12,
-		DataShards:   8,
-		WindowFrames: 48,
-		PriorLoss:    0.10,
-		MarginShards: 1,
-		MaxLoss:      0.75,
-		BlockRetries: 8,
-		Codec:        DefaultCodec(),
-		Backoff:      DefaultBackoff(),
-	}
-}
+func DefaultRSConfig() RSConfig { return RSConfig{ShardBytes: 12, DataShards: 8} }
 
 // lossWindow is the sliding window of recent per-frame erasure verdicts.
 type lossWindow struct {
@@ -400,9 +182,6 @@ func newLossWindow(frames int) *lossWindow { return &lossWindow{ring: make([]boo
 
 // Observe pushes one frame verdict (true = erased/corrupted).
 func (w *lossWindow) Observe(lost bool) {
-	if len(w.ring) == 0 {
-		return
-	}
 	if w.n == len(w.ring) {
 		if w.ring[w.idx] {
 			w.lost--
@@ -430,27 +209,21 @@ func (w *lossWindow) Rate(prior float64) float64 {
 // re-sized from the loss window before every block — GuardRider's
 // adaptation loop.
 type RSTransferer struct {
-	Sys         *core.System
-	Env         *channel.Environment
-	StepS       float64
-	Config      RSConfig
-	Obs         *obs.Observer
-	TraceID     int
-	TraceLabels string
+	Config RSConfig
 
-	rng    *rand.Rand
+	c      *link.Carrier
 	window *lossWindow
-	codes  map[[2]int]*RS
+	codes  map[int]*RS
 }
 
 // NewRSTransferer wires the adaptive-RS loop over sys; seed the backoff
 // jitter from a labeled stats.SubSeed path.
 func NewRSTransferer(sys *core.System, env *channel.Environment, cfg RSConfig, seed int64) *RSTransferer {
 	return &RSTransferer{
-		Sys: sys, Env: env, StepS: 0.05, Config: cfg,
-		rng:    stats.NewRNG(stats.SubSeed(seed, "backoff")),
-		window: newLossWindow(cfg.WindowFrames),
-		codes:  map[[2]int]*RS{},
+		Config: cfg,
+		c:      newCarrier(sys, env, seed),
+		window: newLossWindow(rsWindowFrames),
+		codes:  map[int]*RS{},
 	}
 }
 
@@ -460,152 +233,111 @@ func NewRSTransferer(sys *core.System, env *channel.Environment, cfg RSConfig, s
 // so it does not ride in every shard.
 const rsHeader = 2
 
-// parityFor sizes m so that k of n = k+m shards survive erasure rate p
-// in expectation, plus the configured margin.
-func (t *RSTransferer) parityFor(k int, p float64) int {
-	if p < 0 {
-		p = 0
-	}
-	if p > t.Config.MaxLoss {
-		p = t.Config.MaxLoss
-	}
-	n := int(float64(k)/(1-p)) + 1 + t.Config.MarginShards
-	m := n - k
-	if m < 1 {
-		m = 1
-	}
-	if k+m > MaxShards {
-		m = MaxShards - k
-	}
-	return m
+// lossRate is the windowed erasure estimate the parity budget is sized
+// from.
+func (t *RSTransferer) lossRate() float64 {
+	return min(t.window.Rate(rsPriorLoss), rsMaxLoss)
 }
 
-// code returns the cached (k, m) RS instance.
-func (t *RSTransferer) code(k, m int) (*RS, error) {
-	if c := t.codes[[2]int{k, m}]; c != nil {
+// parityFor sizes m so that k of n = k+m shards survive erasure rate p
+// in expectation, plus the margin.
+func parityFor(k int, p float64) int {
+	n := int(float64(k)/(1-max(p, 0))) + 1 + rsMarginShards
+	return min(max(n-k, 1), MaxShards-k)
+}
+
+// code returns the cached code for k data shards at its parity ceiling.
+// Because the systematic Vandermonde parity rows for a fixed k do not
+// depend on m, shards already on the air stay valid as the budget grows —
+// the GuardRider adaptation is pure incremental redundancy, never a
+// full-block resend.
+func (t *RSTransferer) code(k int) (*RS, error) {
+	if c := t.codes[k]; c != nil {
 		return c, nil
 	}
-	c, err := NewRS(k, m)
+	c, err := NewRS(k, min(MaxShards-k, 12*k+12))
 	if err != nil {
 		return nil, err
 	}
-	t.codes[[2]int{k, m}] = c
+	t.codes[k] = c
 	return c, nil
 }
 
 // Send moves payload tag→client in adaptive RS blocks.
 func (t *RSTransferer) Send(ctx context.Context, payload []byte) (*Stats, error) {
-	cfg := t.Config
-	if len(payload) == 0 || len(payload) > 0xFFFF {
-		return nil, fmt.Errorf("coding: payload %d bytes outside [1,65535]", len(payload))
+	sb, kMax := t.Config.ShardBytes, t.Config.DataShards
+	if sb < 1 || kMax < 1 || sb+rsHeader > core.MaxPayload {
+		return nil, fmt.Errorf("coding: RS shard %dB × k=%d outside [1,%d]B × k≥1", sb, kMax, core.MaxPayload-rsHeader)
 	}
-	if cfg.ShardBytes < 1 || cfg.DataShards < 1 {
-		return nil, fmt.Errorf("coding: RS shard %dB × k=%d must be ≥1", cfg.ShardBytes, cfg.DataShards)
+	c := t.c
+	st, err := c.Begin("rs", payload)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.ShardBytes+rsHeader > core.MaxPayload {
-		return nil, fmt.Errorf("coding: RS shard %dB exceeds the %dB frame", cfg.ShardBytes, core.MaxPayload)
-	}
-	st := &Stats{PayloadBytes: len(payload)}
-	snd := &sender{sys: t.Sys, env: t.Env, stepS: t.StepS, codec: cfg.Codec, bo: cfg.Backoff,
-		rng: t.rng, o: t.Obs, traceID: t.TraceID, traceLabels: t.TraceLabels}
-	if o := t.Obs; o != nil {
-		if t.Env != nil {
-			t.Env.Spans = o.Spans
+	defer c.Finish()
+	spans, o := c.Spans(), c.Obs()
+	resized := func() {
+		// Counted live here and again by Finish's flush of st: a known
+		// double count the committed metrics baselines pin.
+		st.ParityResizes++
+		if o != nil {
+			o.Coding.ParityResizes.Inc()
 		}
-		o.Coding.TransfersStarted.Inc()
 	}
-	defer snd.finish("rs", st)
 
 	out := make([]byte, len(payload))
-	blockSpan := cfg.DataShards * cfg.ShardBytes
+	blockSpan := kMax * sb
 	lastM := -1
 	for blockIdx, at := 0, 0; at < len(payload); blockIdx, at = blockIdx+1, at+blockSpan {
-		span := len(payload) - at
-		if span > blockSpan {
-			span = blockSpan
-		}
-		k := (span + cfg.ShardBytes - 1) / cfg.ShardBytes
+		k := (min(len(payload)-at, blockSpan) + sb - 1) / sb
 		data := make([][]byte, k)
 		for i := range data {
-			data[i] = make([]byte, cfg.ShardBytes)
-			start := at + i*cfg.ShardBytes
-			end := start + cfg.ShardBytes
-			if end > len(payload) {
-				end = len(payload)
-			}
-			copy(data[i], payload[start:end])
+			data[i] = make([]byte, sb)
+			start := at + i*sb
+			copy(data[i], payload[start:min(start+sb, len(payload))])
 		}
-		// The code is built once per k at its parity ceiling; because the
-		// systematic Vandermonde parity rows for a fixed k do not depend
-		// on m, shards already on the air stay valid as the budget grows —
-		// the GuardRider adaptation below is pure incremental redundancy,
-		// never a full-block resend.
-		mCap := MaxShards - k
-		if lim := 12*k + 12; mCap > lim {
-			mCap = lim
-		}
-		rs, err := t.code(k, mCap)
+		rs, err := t.code(k)
 		if err != nil {
 			return st, err
 		}
-		sp := snd.spans().Start()
+		mCap := rs.M
+		sp := spans.Start()
 		parity, err := rs.Parity(data)
 		if err != nil {
 			return st, err
 		}
-		snd.spans().End(obs.PhaseCodingEncode, sp)
+		spans.End(obs.PhaseCodingEncode, sp)
+		shards := append(data, parity...)
 		// First wave: data shards plus a parity budget sized from the
 		// windowed erasure rate.
-		m0 := t.parityFor(k, t.window.Rate(cfg.PriorLoss))
-		if m0 > mCap {
-			m0 = mCap
-		}
+		m0 := min(parityFor(k, t.lossRate()), mCap)
 		if lastM >= 0 && m0 != lastM {
-			st.ParityResizes++
-			if o := t.Obs; o != nil {
-				o.Coding.ParityResizes.Inc()
-			}
+			resized()
 		}
 		lastM = m0
-		targets := make([]int, 0, k+m0)
-		for si := 0; si < k+m0; si++ {
-			targets = append(targets, si)
-		}
-		sentParity := m0
+		first, sentParity := 0, m0
 		rx := make([][]byte, k+mCap)
 		got := 0
 		delivered := false
-		for wave := 0; wave <= cfg.BlockRetries && !delivered; wave++ {
-			for _, si := range targets {
-				if err := ctx.Err(); err != nil {
-					return st, err
-				}
-				var shard []byte
-				if si < k {
-					shard = data[si]
-				} else {
-					shard = parity[si-k]
-				}
-				fp := make([]byte, 0, rsHeader+len(shard))
-				fp = append(fp, byte(blockIdx), byte(si))
-				fp = append(fp, shard...)
-				dec, outcome, err := snd.send(fp, st)
+		for wave := 0; wave <= rsBlockRetries && !delivered; wave++ {
+			for si := first; si < k+sentParity; si++ {
+				dec, _, v, err := c.Carry(ctx, DefaultCodec(), append([]byte{byte(blockIdx), byte(si)}, shards[si]...))
 				if err != nil {
 					return st, err
 				}
-				if o := t.Obs; o != nil {
+				if o != nil {
 					o.Coding.ShardsSent.Inc()
 				}
-				lost := outcome != frameOK
-				if !lost {
-					if len(dec) != rsHeader+cfg.ShardBytes || int(dec[1]) >= k+mCap {
-						st.FrameErrors++ // CRC-passing residual corruption
-						lost = true
-					}
+				if v == link.FrameErased {
+					c.Backoff()
 				}
-				t.window.Observe(lost)
-				if lost {
-					snd.trace("shard", si, "erased")
+				if v == link.FrameOK && (len(dec) != rsHeader+sb || int(dec[1]) >= k+mCap) {
+					st.ResidualErrors++ // CRC-passing residual corruption
+					v = link.FrameResidual
+				}
+				t.window.Observe(v != link.FrameOK)
+				if v != link.FrameOK {
+					c.Trace(obs.Event{Kind: "shard", Offset: si, Outcome: "erased"})
 					continue
 				}
 				ri := int(dec[1])
@@ -613,24 +345,23 @@ func (t *RSTransferer) Send(ctx context.Context, payload []byte) (*Stats, error)
 					got++
 				}
 				rx[ri] = append([]byte(nil), dec[rsHeader:]...)
-				snd.trace("shard", si, "ok")
+				c.Trace(obs.Event{Kind: "shard", Offset: si, Outcome: "ok"})
 			}
 			if got >= k {
+				// Like resizes, reconstructions are counted live and again
+				// by Finish.
 				st.DecodeAttempts++
-				if o := t.Obs; o != nil {
+				if o != nil {
 					o.Coding.DecodeAttempts.Inc()
 				}
-				sp := snd.spans().Start()
+				sp := spans.Start()
 				if err := rs.Reconstruct(rx); err != nil {
 					return st, err
 				}
-				snd.spans().End(obs.PhaseCodingDecode, sp)
+				spans.End(obs.PhaseCodingDecode, sp)
 				for i := 0; i < k; i++ {
-					start := at + i*cfg.ShardBytes
-					end := start + cfg.ShardBytes
-					if end > len(payload) {
-						end = len(payload)
-					}
+					start := at + i*sb
+					end := min(start+sb, len(payload))
 					copy(out[start:end], rx[i][:end-start])
 				}
 				delivered = true
@@ -638,27 +369,12 @@ func (t *RSTransferer) Send(ctx context.Context, payload []byte) (*Stats, error)
 			}
 			// GuardRider adaptation: size the next parity wave from the
 			// freshly re-estimated erasure rate and the outstanding need.
-			p := t.window.Rate(cfg.PriorLoss)
-			if p > cfg.MaxLoss {
-				p = cfg.MaxLoss
-			}
-			need := k - got
-			extra := int(float64(need)/(1-p)) + cfg.MarginShards
-			if sentParity+extra > mCap {
-				extra = mCap - sentParity
-			}
+			extra := min(int(float64(k-got)/(1-t.lossRate()))+rsMarginShards, mCap-sentParity)
 			if extra <= 0 {
 				break // parity space exhausted — the block is undeliverable
 			}
-			st.ParityResizes++
-			if o := t.Obs; o != nil {
-				o.Coding.ParityResizes.Inc()
-			}
-			targets = targets[:0]
-			for si := k + sentParity; si < k+sentParity+extra; si++ {
-				targets = append(targets, si)
-			}
-			sentParity += extra
+			resized()
+			first, sentParity = k+sentParity, sentParity+extra
 		}
 		st.FinalK, st.FinalN = k, k+sentParity
 		if !delivered {

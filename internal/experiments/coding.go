@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -31,16 +32,6 @@ import (
 
 // CodingSchemes names the compared transfer schemes, in sweep order.
 var CodingSchemes = []string{"arq", "fountain", "rs"}
-
-// KnownCodingScheme reports whether name is a valid scheme selector.
-func KnownCodingScheme(name string) bool {
-	for _, s := range CodingSchemes {
-		if s == name {
-			return true
-		}
-	}
-	return false
-}
 
 // CodingProfile is one swept channel condition: a fault preset composed
 // with an ambient-traffic preset. Empty names disable that layer.
@@ -154,7 +145,7 @@ func AdaptiveCodingCtx(ctx context.Context, cfg AdaptiveCodingConfig) (*Adaptive
 	}
 	seen := map[string]bool{}
 	for _, s := range schemeNames {
-		if !KnownCodingScheme(s) {
+		if !slices.Contains(CodingSchemes, s) {
 			return nil, fmt.Errorf("experiments: unknown coding scheme %q (valid: %s)", s, strings.Join(CodingSchemes, ", "))
 		}
 		if seen[s] {
@@ -189,6 +180,10 @@ func AdaptiveCodingCtx(ctx context.Context, cfg AdaptiveCodingConfig) (*Adaptive
 		return nil, err
 	}
 
+	// Overhead needs the spec's DataLen; every testbed runs the default
+	// query spec.
+	dataLen := float64(core.DefaultQuerySpec().DataLen)
+	payloadBits := float64(8 * cfg.PayloadBytes)
 	res := &AdaptiveCodingResult{PayloadBytes: cfg.PayloadBytes, Transfers: cfg.Transfers}
 	for pi, prof := range cfg.Profiles {
 		pt := CodingPoint{Profile: prof}
@@ -218,23 +213,10 @@ func AdaptiveCodingCtx(ctx context.Context, cfg AdaptiveCodingConfig) (*Adaptive
 			cell.DecodeAttempts /= nT
 			cell.ParityResizes /= nT
 			cell.EnergySlots /= nT
+			cell.OverheadRatio = cell.MeanRounds * dataLen / payloadBits
 			pt.Cells = append(pt.Cells, cell)
 		}
 		res.Points = append(res.Points, pt)
-	}
-	// Overhead needs the spec's DataLen; every testbed uses the default
-	// spec, so derive it once from a throwaway build.
-	sys, _, err := LoSTestbed(2, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	dataLen := float64(sys.Spec.DataLen)
-	payloadBits := float64(8 * cfg.PayloadBytes)
-	for i := range res.Points {
-		for j := range res.Points[i].Cells {
-			c := &res.Points[i].Cells[j]
-			c.OverheadRatio = c.MeanRounds * dataLen / payloadBits
-		}
 	}
 	return res, nil
 }
@@ -255,58 +237,38 @@ func codingTransfer(ctx context.Context, cfg AdaptiveCodingConfig, prof CodingPr
 
 // RunTransfer moves payload across the deployment with the named scheme
 // (one of CodingSchemes) at that scheme's default configuration, seeding
-// the transferer with xferSeed. The transferer reports into sys's
+// the transferer with xferSeed. Every transferer reports into sys's
 // observer under sys's trace identity. A payload reported delivered but
 // not equal to the one sent is an error: a scheme that corrupts data
 // must fail loudly, not score goodput.
 func RunTransfer(ctx context.Context, scheme string, sys *core.System, env *channel.Environment, payload []byte, xferSeed int64) (TransferOutcome, error) {
-	var (
-		out      TransferOutcome
-		received []byte
-	)
+	var xfer interface {
+		Send(context.Context, []byte) (*link.Stats, error)
+	}
 	switch scheme {
 	case "arq":
 		cc, err := link.NewCodingController(0)
 		if err != nil {
 			return TransferOutcome{}, err
 		}
-		xfer := link.NewTransferer(sys, env, link.DefaultPolicy(), cc, xferSeed)
-		xfer.Obs, xfer.TraceID, xfer.TraceLabels = sys.Obs, sys.TraceID, sys.TraceLabels
-		st, err := xfer.Send(ctx, payload)
-		if err != nil {
-			return TransferOutcome{}, err
-		}
-		out = TransferOutcome{Delivered: st.Delivered, Rounds: st.Rounds, Frames: st.FramesSent,
-			Airtime: st.Airtime, GoodputBps: st.GoodputBps()}
-		received = st.Received
-	case "fountain", "rs":
-		var xfer interface {
-			Send(context.Context, []byte) (*coding.Stats, error)
-		}
-		if scheme == "fountain" {
-			f := coding.NewFountainTransferer(sys, env, coding.DefaultFountainConfig(), xferSeed)
-			f.Obs, f.TraceID, f.TraceLabels = sys.Obs, sys.TraceID, sys.TraceLabels
-			xfer = f
-		} else {
-			r := coding.NewRSTransferer(sys, env, coding.DefaultRSConfig(), xferSeed)
-			r.Obs, r.TraceID, r.TraceLabels = sys.Obs, sys.TraceID, sys.TraceLabels
-			xfer = r
-		}
-		st, err := xfer.Send(ctx, payload)
-		if err != nil {
-			return TransferOutcome{}, err
-		}
-		out = TransferOutcome{Delivered: st.Delivered, Rounds: st.Rounds, Frames: st.FramesSent,
-			DecodeAttempts: st.DecodeAttempts, ParityResizes: st.ParityResizes,
-			Airtime: st.Airtime, GoodputBps: st.GoodputBps()}
-		received = st.Received
+		xfer = link.NewTransferer(sys, env, link.DefaultPolicy(), cc, xferSeed)
+	case "fountain":
+		xfer = coding.NewFountainTransferer(sys, env, coding.DefaultFountainConfig(), xferSeed)
+	case "rs":
+		xfer = coding.NewRSTransferer(sys, env, coding.DefaultRSConfig(), xferSeed)
 	default:
 		return TransferOutcome{}, fmt.Errorf("experiments: unknown scheme %q", scheme)
 	}
-	if out.Delivered && !bytes.Equal(received, payload) {
+	st, err := xfer.Send(ctx, payload)
+	if err != nil {
+		return TransferOutcome{}, err
+	}
+	if st.Delivered && !bytes.Equal(st.Received, payload) {
 		return TransferOutcome{}, fmt.Errorf("experiments: %s delivered a corrupted payload (%s)", scheme, sys.TraceLabels)
 	}
-	return out, nil
+	return TransferOutcome{Delivered: st.Delivered, Rounds: st.Rounds, Frames: st.FramesSent,
+		DecodeAttempts: st.DecodeAttempts, ParityResizes: st.ParityResizes,
+		Airtime: st.Airtime, GoodputBps: st.GoodputBps()}, nil
 }
 
 // codingWorld rebuilds the labeled world for one (profile, tr) pair:
@@ -316,26 +278,18 @@ func RunTransfer(ctx context.Context, scheme string, sys *core.System, env *chan
 // channel realizations through codingWorld for every scheme to pin that
 // property down.
 func codingWorld(cfg AdaptiveCodingConfig, prof CodingProfile, scheme string, traceID, tr int, o *obs.Observer) (*core.System, *channel.Environment, []byte, func(string) int64, error) {
-	world := []string{"coding", "pf=" + prof.Name, fmt.Sprintf("tr=%d", tr)}
-	label := func(leaf string) int64 {
-		return stats.SubSeed(cfg.Seed, append(append([]string(nil), world...), leaf)...)
+	var fp *fault.Profile
+	if prof.Fault != "" {
+		p, err := fault.Named(prof.Fault)
+		if err != nil {
+			return nil, nil, nil, nil, err
+		}
+		fp = &p
 	}
-	traceLabels := strings.Join(world, "/") + "/scheme=" + scheme
-	sys, env, err := LoSTestbed(2, label("env"))
+	world := []string{"coding", "pf=" + prof.Name, fmt.Sprintf("tr=%d", tr)}
+	sys, env, label, err := transferTestbed(cfg.Seed, world, "scheme="+scheme, fp, traceID, o)
 	if err != nil {
 		return nil, nil, nil, nil, err
-	}
-	sys.Obs, sys.TraceID, sys.TraceLabels = o, traceID, traceLabels
-	if prof.Fault != "" {
-		fp, err := fault.Named(prof.Fault)
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		sys.Faults, err = fault.NewInjector(fp, label("fault"))
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		sys.Faults.Obs, sys.Faults.TraceID, sys.Faults.TraceLabels = o, traceID, traceLabels
 	}
 	if prof.Traffic != "" {
 		tp, err := traffic.Named(prof.Traffic)
@@ -350,6 +304,30 @@ func codingWorld(cfg AdaptiveCodingConfig, prof CodingProfile, scheme string, tr
 	}
 	payload := stats.RandomBytes(stats.NewRNG(label("payload")), cfg.PayloadBytes)
 	return sys, env, payload, label, nil
+}
+
+// transferTestbed builds the LoS deployment one transfer of a sweep runs
+// in, at the labeled world path: the environment and, when fp is
+// non-nil, a fault injector, both stamped with the trace identity (o,
+// traceID, the world path plus variant). The variant — the scheme or
+// mode under comparison — never enters the seed tree, so every variant
+// of a world sees the same channel. label derives the world's leaf seeds.
+func transferTestbed(seed int64, world []string, variant string, fp *fault.Profile, traceID int, o *obs.Observer) (*core.System, *channel.Environment, func(string) int64, error) {
+	label := func(leaf string) int64 {
+		return stats.SubSeed(seed, append(append([]string(nil), world...), leaf)...)
+	}
+	sys, env, err := LoSTestbed(2, label("env"))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	sys.Obs, sys.TraceID, sys.TraceLabels = o, traceID, strings.Join(world, "/")+"/"+variant
+	if fp != nil {
+		if sys.Faults, err = fault.NewInjector(*fp, label("fault")); err != nil {
+			return nil, nil, nil, err
+		}
+		sys.Faults.Obs, sys.Faults.TraceID, sys.Faults.TraceLabels = o, traceID, sys.TraceLabels
+	}
+	return sys, env, label, nil
 }
 
 // Render prints the sweep table.

@@ -184,24 +184,10 @@ func robustnessTransfer(ctx context.Context, cfg RobustnessConfig, base fault.Pr
 	prof := base
 	prof.LossBad = lossBad
 	world := []string{"robust", fmt.Sprintf("lb=%g", prof.LossBad), fmt.Sprintf("tr=%d", tr)}
-	label := func(leaf string) int64 {
-		return stats.SubSeed(cfg.Seed, append(append([]string(nil), world...), leaf)...)
-	}
-	traceLabels := strings.Join(world, "/") + "/mode=" + robustnessModeName(mode)
-	sys, env, err := LoSTestbed(2, label("env"))
+	sys, env, label, err := transferTestbed(cfg.Seed, world, "mode="+robustnessModeName(mode), &prof, traceID, o)
 	if err != nil {
 		return robustnessTrial{}, err
 	}
-	sys.Obs = o
-	sys.TraceID = traceID
-	sys.TraceLabels = traceLabels
-	sys.Faults, err = fault.NewInjector(prof, label("fault"))
-	if err != nil {
-		return robustnessTrial{}, err
-	}
-	sys.Faults.Obs = o
-	sys.Faults.TraceID = traceID
-	sys.Faults.TraceLabels = traceLabels
 	payload := stats.RandomBytes(stats.NewRNG(label("payload")), cfg.PayloadBytes)
 
 	pol := link.DefaultPolicy()
@@ -215,11 +201,7 @@ func robustnessTransfer(ctx context.Context, cfg RobustnessConfig, base fault.Pr
 			return robustnessTrial{}, err
 		}
 	}
-	xfer := link.NewTransferer(sys, env, pol, cc, label("arq"))
-	xfer.Obs = o
-	xfer.TraceID = traceID
-	xfer.TraceLabels = traceLabels
-	st, err := xfer.Send(ctx, payload)
+	st, err := link.NewTransferer(sys, env, pol, cc, label("arq")).Send(ctx, payload)
 	if err != nil {
 		return robustnessTrial{}, err
 	}

