@@ -411,3 +411,32 @@ func TestLossWindowSlides(t *testing.T) {
 		t.Fatalf("rate after clean window = %v, want 0 (old verdicts must age out)", got)
 	}
 }
+
+// TestFountainStreamFitsSymbolID sends a payload whose 16·K+64 stream cap
+// exceeds the 2-byte symbol ID over a channel where every trigger is
+// missed: the stream must stop at 1<<16 symbols rather than wrap an ID
+// onto a symbol the decoder may not have seen.
+func TestFountainStreamFitsSymbolID(t *testing.T) {
+	// An empty, static room keeps the 65,536 rounds cheap.
+	sys, err := core.NewSystem(channel.NewEnvironment(35),
+		channel.Point{X: 0, Y: 0}, channel.Point{X: 8, Y: 0},
+		channel.Point{X: 1, Y: 0.3}, 68, 35)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.Faults, err = fault.NewInjector(fault.Profile{TriggerMissProb: 1}, 35); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultFountainConfig()
+	payload := make([]byte, 4093*cfg.BlockBytes) // K = 4093: 16·K+64 = 65,552
+	st, err := NewFountainTransferer(sys, nil, cfg, 35).Send(context.Background(), payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Delivered || st.RoundFailures != st.FramesSent {
+		t.Fatalf("black channel delivered or carried a frame: %+v", st)
+	}
+	if st.FramesSent != 1<<16 {
+		t.Fatalf("sent %d symbols, want the 16-bit ID space of %d", st.FramesSent, 1<<16)
+	}
+}

@@ -88,8 +88,9 @@ func (t *FountainTransferer) Send(ctx context.Context, payload []byte) (*Stats, 
 
 	dec := NewFountainDecoder(f)
 	// The stream cap is an undeliverable-channel escape, not an operating
-	// point.
-	maxSymbols := 16*f.K + 64
+	// point. It never exceeds the 16-bit ID space: a wrapped ID would reach
+	// the decoder as a different symbol's equation.
+	maxSymbols := min(16*f.K+64, 1<<16)
 	for id := 0; id < maxSymbols && !dec.Done(); id++ {
 		sp := spans.Start()
 		sym, err := f.Symbol(payload, id)
