@@ -337,8 +337,8 @@ func (t *RSTransferer) Send(ctx context.Context, payload []byte) (*Stats, error)
 					v = link.FrameResidual
 				}
 				t.window.Observe(v != link.FrameOK)
+				c.Trace(obs.Event{Kind: "shard", Offset: si, Outcome: v.Outcome()})
 				if v != link.FrameOK {
-					c.Trace(obs.Event{Kind: "shard", Offset: si, Outcome: "erased"})
 					continue
 				}
 				ri := int(dec[1])
@@ -346,7 +346,6 @@ func (t *RSTransferer) Send(ctx context.Context, payload []byte) (*Stats, error)
 					got++
 				}
 				rx[ri] = append([]byte(nil), dec[rsHeader:]...)
-				c.Trace(obs.Event{Kind: "shard", Offset: si, Outcome: "ok"})
 			}
 			if got >= k {
 				// Like resizes, reconstructions are counted live and again
