@@ -15,7 +15,7 @@ BENCHTIME ?= 1s
 # gate writes its candidate artifacts here; empty means a throwaway tmpdir.
 GATEDIR ?=
 
-.PHONY: check fmt vet lint test race bench benchcmp bench-series gate build benchmod cover fuzz fuzzseed determinism
+.PHONY: check fmt vet lint test race bench benchcmp bench-series gate build benchmod benchtest cover fuzz fuzzseed determinism
 
 check: fmt vet build benchmod lint race fuzzseed determinism
 
@@ -27,6 +27,13 @@ build:
 # change cannot silently break the benchmark.
 benchmod:
 	cd perfbench && $(GO) build ./... && $(GO) vet ./...
+
+# perfbench's own test suite (under a minute). Its
+# TestTracedRunsReproduceAndBypass is the only check that the coding_mix
+# workload still reaches the link, fountain and RS send layers and
+# reproduces its round and delivery counts.
+benchtest:
+	cd perfbench && $(GO) test ./...
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
