@@ -31,7 +31,7 @@ func DefaultCodec() core.Codec { return core.Codec{FEC: true, InterleaveDepth: 8
 
 // newCarrier wires the frame carrier of a coded transferer, its backoff
 // jitter seeded from the transferer seed's "backoff" label.
-func newCarrier(sys *core.System, env *channel.Environment, seed int64) *link.Carrier {
+func newCarrier(sys *core.System, env *channel.Environment, seed int64) link.Carrier {
 	return link.NewCarrier(sys, env, link.DefaultPolicy(), stats.SubSeed(seed, "backoff"))
 }
 
@@ -54,7 +54,7 @@ func DefaultFountainConfig() FountainConfig { return FountainConfig{BlockBytes: 
 type FountainTransferer struct {
 	Config FountainConfig
 
-	c    *link.Carrier
+	c    link.Carrier
 	seed int64
 }
 
@@ -74,7 +74,7 @@ func (t *FountainTransferer) Send(ctx context.Context, payload []byte) (*Stats, 
 	if bb < 1 || bb+fountainHeader > core.MaxPayload {
 		return nil, fmt.Errorf("coding: fountain block %dB outside [1,%d]", bb, core.MaxPayload-fountainHeader)
 	}
-	c := t.c
+	c := &t.c
 	st, err := c.Begin("fountain", payload)
 	if err != nil {
 		return nil, err
@@ -212,7 +212,7 @@ func (w *lossWindow) Rate(prior float64) float64 {
 type RSTransferer struct {
 	Config RSConfig
 
-	c      *link.Carrier
+	c      link.Carrier
 	window *lossWindow
 	codes  map[int]*RS
 }
@@ -270,7 +270,7 @@ func (t *RSTransferer) Send(ctx context.Context, payload []byte) (*Stats, error)
 	if sb < 1 || kMax < 1 || sb+rsHeader > core.MaxPayload {
 		return nil, fmt.Errorf("coding: RS shard %dB × k=%d outside [1,%d]B × k≥1", sb, kMax, core.MaxPayload-rsHeader)
 	}
-	c := t.c
+	c := &t.c
 	st, err := c.Begin("rs", payload)
 	if err != nil {
 		return nil, err
@@ -308,7 +308,6 @@ func (t *RSTransferer) Send(ctx context.Context, payload []byte) (*Stats, error)
 			return st, err
 		}
 		spans.End(obs.PhaseCodingEncode, sp)
-		shards := append(data, parity...)
 		// First wave: data shards plus a parity budget sized from the
 		// windowed erasure rate.
 		m0 := min(parityFor(k, t.lossRate()), mCap)
@@ -322,7 +321,13 @@ func (t *RSTransferer) Send(ctx context.Context, payload []byte) (*Stats, error)
 		delivered := false
 		for wave := 0; wave <= rsBlockRetries && !delivered; wave++ {
 			for si := first; si < k+sentParity; si++ {
-				dec, _, v, err := c.Carry(ctx, DefaultCodec(), append([]byte{byte(blockIdx), byte(si)}, shards[si]...))
+				var shard []byte
+				if si < k {
+					shard = data[si]
+				} else {
+					shard = parity[si-k]
+				}
+				dec, _, v, err := c.Carry(ctx, DefaultCodec(), append([]byte{byte(blockIdx), byte(si)}, shard...))
 				if err != nil {
 					return st, err
 				}

@@ -120,12 +120,6 @@ type TransferOutcome struct {
 	GoodputBps     float64
 }
 
-// codingTrial is one transfer of the sweep, stored by index.
-type codingTrial struct {
-	TransferOutcome
-	energySlots int
-}
-
 // AdaptiveCoding runs the sweep.
 func AdaptiveCoding(cfg AdaptiveCodingConfig) (*AdaptiveCodingResult, error) {
 	return AdaptiveCodingCtx(context.Background(), cfg)
@@ -170,7 +164,7 @@ func AdaptiveCodingCtx(ctx context.Context, cfg AdaptiveCodingConfig) (*Adaptive
 	n := len(cfg.Profiles) * perProfile
 
 	trials, err := sim.Map(ctx, simRunner(cfg.Workers), n,
-		func(ctx context.Context, i int) (codingTrial, error) {
+		func(ctx context.Context, i int) (TransferOutcome, error) {
 			pi := i / perProfile
 			scheme := schemeNames[i%perProfile/cfg.Transfers]
 			tr := i % cfg.Transfers
@@ -180,9 +174,10 @@ func AdaptiveCodingCtx(ctx context.Context, cfg AdaptiveCodingConfig) (*Adaptive
 		return nil, err
 	}
 
-	// Overhead needs the spec's DataLen; every testbed runs the default
-	// query spec.
-	dataLen := float64(core.DefaultQuerySpec().DataLen)
+	// Overhead and energy need the query spec; every testbed runs the
+	// default one.
+	spec := core.DefaultQuerySpec()
+	dataLen := float64(spec.DataLen)
 	payloadBits := float64(8 * cfg.PayloadBytes)
 	res := &AdaptiveCodingResult{PayloadBytes: cfg.PayloadBytes, Transfers: cfg.Transfers}
 	for pi, prof := range cfg.Profiles {
@@ -201,7 +196,7 @@ func AdaptiveCodingCtx(ctx context.Context, cfg AdaptiveCodingConfig) (*Adaptive
 				cell.MeanFrames += float64(t.Frames)
 				cell.DecodeAttempts += float64(t.DecodeAttempts)
 				cell.ParityResizes += float64(t.ParityResizes)
-				cell.EnergySlots += float64(t.energySlots)
+				cell.EnergySlots += float64(t.Rounds * spec.Total())
 			}
 			nT := float64(cfg.Transfers)
 			cell.Delivery = float64(delivered) / nT
@@ -223,16 +218,12 @@ func AdaptiveCodingCtx(ctx context.Context, cfg AdaptiveCodingConfig) (*Adaptive
 
 // codingTransfer runs exactly one transfer of the sweep: the paired world
 // for (profile, tr), moved with the given scheme.
-func codingTransfer(ctx context.Context, cfg AdaptiveCodingConfig, prof CodingProfile, scheme string, traceID, tr int, o *obs.Observer) (codingTrial, error) {
+func codingTransfer(ctx context.Context, cfg AdaptiveCodingConfig, prof CodingProfile, scheme string, traceID, tr int, o *obs.Observer) (TransferOutcome, error) {
 	sys, env, payload, label, err := codingWorld(cfg, prof, scheme, traceID, tr, o)
 	if err != nil {
-		return codingTrial{}, err
+		return TransferOutcome{}, err
 	}
-	out, err := RunTransfer(ctx, scheme, sys, env, payload, label("xfer"))
-	if err != nil {
-		return codingTrial{}, err
-	}
-	return codingTrial{out, out.Rounds * sys.Spec.Total()}, nil
+	return RunTransfer(ctx, scheme, sys, env, payload, label("xfer"))
 }
 
 // RunTransfer moves payload across the deployment with the named scheme

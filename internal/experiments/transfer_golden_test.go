@@ -39,8 +39,7 @@ func TestTransferSchemesMatchGolden(t *testing.T) {
 	for _, scheme := range CodingSchemes {
 		for _, prof := range profiles {
 			cases[scheme] = append(cases[scheme], func(ctx context.Context, o *obs.Observer, id int) (any, error) {
-				ct, err := codingTransfer(ctx, cfg, prof, scheme, id, 0, o)
-				return ct.TransferOutcome, err
+				return codingTransfer(ctx, cfg, prof, scheme, id, 0, o)
 			})
 		}
 	}

@@ -123,12 +123,13 @@ type Carrier struct {
 	erased int // consecutive erased frames
 }
 
-// NewCarrier wires a carrier over sys; env, when non-nil, advances
-// before every query round. Seed it from a labeled stats.SubSeed path —
-// the backoff jitter is its only randomness, and it must never come from
-// a shared or wall-clock source (DESIGN.md §8).
-func NewCarrier(sys *core.System, env *channel.Environment, pol Policy, seed int64) *Carrier {
-	return &Carrier{sys: sys, env: env, pol: pol, rng: stats.NewRNG(seed)}
+// NewCarrier returns a carrier over sys, for a transferer to embed by
+// value; env, when non-nil, advances before every query round. Seed it
+// from a labeled stats.SubSeed path — the backoff jitter is its only
+// randomness, and it must never come from a shared or wall-clock source
+// (DESIGN.md §8).
+func NewCarrier(sys *core.System, env *channel.Environment, pol Policy, seed int64) Carrier {
+	return Carrier{sys: sys, env: env, pol: pol, rng: stats.NewRNG(seed)}
 }
 
 // Begin starts one transfer of payload with the named scheme and returns

@@ -17,7 +17,7 @@ type Transferer struct {
 	// or no-adaptation baseline.
 	Controller *CodingController
 
-	c *Carrier
+	c Carrier
 }
 
 // NewTransferer wires a transfer loop over sys; env, when non-nil,
@@ -35,7 +35,7 @@ func NewTransferer(sys *core.System, env *channel.Environment, pol Policy, cc *C
 // (that is an outcome, not an error — errors are reserved for broken
 // configuration or a cancelled context).
 func (t *Transferer) Send(ctx context.Context, payload []byte) (*Stats, error) {
-	c := t.c
+	c := &t.c
 	if c.sys == nil || t.Controller == nil {
 		return nil, fmt.Errorf("link: transferer needs a system and a controller")
 	}
@@ -100,7 +100,7 @@ func (t *Transferer) Send(ctx context.Context, payload []byte) (*Stats, error) {
 // checks its header against the range queried, and feeds the verdict to
 // the coding controller (round erasures say nothing about coding).
 func (t *Transferer) attempt(ctx context.Context, payload []byte, seg segment, lvl Level, rx *Reassembler) (Verdict, error) {
-	c := t.c
+	c := &t.c
 	got, corrected, v, err := c.Carry(ctx, lvl.Codec, buildFrame(payload, seg))
 	if err != nil {
 		return v, err
