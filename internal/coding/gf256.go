@@ -4,8 +4,8 @@
 // under dynamic traffic) and a Reed-Solomon erasure code over GF(256)
 // whose parity budget tracks observed ambient-traffic loss (GuardRider's
 // RS coding sized to ambient statistics). Both are packaged as transfer
-// modes that drive a core.System exactly like link.Transferer does, so
-// the three schemes can be compared over identical channel worlds.
+// modes that are outer loops over link.Carrier, the frame carrier under
+// ARQ too, so the three schemes compare over identical channel worlds.
 //
 // Layering: a transfer payload is cut into fixed-size source blocks
 // (fountain) or shards (RS); every encoded symbol/shard rides in one

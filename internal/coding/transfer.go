@@ -18,7 +18,7 @@ import (
 // and report the same link.Stats. Unlike ARQ, which backs off only when
 // it retries, both coded modes charge a backoff on every erased frame.
 
-// Stats reports one coded transfer.
+// Stats is link.Stats, the one report every transfer scheme returns.
 type Stats = link.Stats
 
 // DefaultCodec is the fixed per-frame protection both coded modes use:

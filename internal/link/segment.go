@@ -6,7 +6,8 @@
 // missed trigger or a lost block ACK are retried after capped exponential
 // backoff; and an AIMD-style controller escalates FEC, interleave depth
 // and segment size as the observed frame-error rate rises (see control.go
-// and transfer.go).
+// and transfer.go). Its frame carrier (carrier.go) also moves the fountain
+// and Reed-Solomon transfers of internal/coding.
 package link
 
 import (

@@ -37,7 +37,9 @@ func NewCoreMetrics(r *Registry) *CoreMetrics {
 	}
 }
 
-// LinkMetrics instruments link.Transferer.
+// LinkMetrics instruments ARQ transfers: link.Carrier flushes each
+// link.Transferer transfer's totals here, and the ARQ loop counts its
+// ladder moves and backoff waits live.
 type LinkMetrics struct {
 	TransfersStarted   *Counter
 	TransfersDelivered *Counter
@@ -91,8 +93,10 @@ func NewFaultMetrics(r *Registry) *FaultMetrics {
 	}
 }
 
-// CodingMetrics instruments the coding-package transferers (fountain and
-// adaptive RS).
+// CodingMetrics instruments the coded transfers (coding.FountainTransferer
+// and coding.RSTransferer): link.Carrier flushes each transfer's totals
+// here, and the outer loops count symbols, shards, RS reconstructions and
+// parity resizes live (RS's last two are flushed again by the carrier).
 type CodingMetrics struct {
 	TransfersStarted   *Counter
 	TransfersDelivered *Counter
@@ -101,7 +105,7 @@ type CodingMetrics struct {
 	SymbolsSent        *Counter // fountain encoded symbols
 	ShardsSent         *Counter // RS data+parity shards
 	FrameErasures      *Counter // frames erased by missed trigger / lost BA
-	FrameErrors        *Counter // frames lost to CRC/decode failure
+	FrameErrors        *Counter // frames lost to a decode failure or a bad header (desync + residual)
 	DecodeAttempts     *Counter // peeling passes / RS reconstructions
 	ParityResizes      *Counter // GuardRider parity re-sizing events
 }
