@@ -277,14 +277,6 @@ func (t *RSTransferer) Send(ctx context.Context, payload []byte) (*Stats, error)
 	}
 	defer c.Finish()
 	spans, o := c.Spans(), c.Obs()
-	resized := func() {
-		// Counted live here and again by Finish's flush of st: a known
-		// double count the committed metrics baselines pin.
-		st.ParityResizes++
-		if o != nil {
-			o.Coding.ParityResizes.Inc()
-		}
-	}
 
 	out := make([]byte, len(payload))
 	blockSpan := kMax * sb
@@ -312,7 +304,7 @@ func (t *RSTransferer) Send(ctx context.Context, payload []byte) (*Stats, error)
 		// windowed erasure rate.
 		m0 := min(parityFor(k, t.lossRate()), mCap)
 		if lastM >= 0 && m0 != lastM {
-			resized()
+			st.ParityResizes++
 		}
 		lastM = m0
 		first, sentParity := 0, m0
@@ -353,12 +345,7 @@ func (t *RSTransferer) Send(ctx context.Context, payload []byte) (*Stats, error)
 				rx[ri] = append([]byte(nil), dec[rsHeader:]...)
 			}
 			if got >= k {
-				// Like resizes, reconstructions are counted live and again
-				// by Finish.
 				st.DecodeAttempts++
-				if o != nil {
-					o.Coding.DecodeAttempts.Inc()
-				}
 				sp := spans.Start()
 				if err := rs.Reconstruct(rx); err != nil {
 					return st, err
@@ -378,7 +365,7 @@ func (t *RSTransferer) Send(ctx context.Context, payload []byte) (*Stats, error)
 			if extra <= 0 {
 				break // parity space exhausted — the block is undeliverable
 			}
-			resized()
+			st.ParityResizes++
 			first, sentParity = k+sentParity, sentParity+extra
 		}
 		st.FinalK, st.FinalN = k, k+sentParity
