@@ -8,6 +8,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -111,6 +112,26 @@ func roundEvents(t *testing.T, path string) int {
 	return n
 }
 
+// logMessages decodes every line of a -log file with encoding/json and
+// returns the records' msg fields in order.
+func logMessages(t *testing.T, path string) []string {
+	t.Helper()
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var msgs []string
+	for _, line := range bytes.Split(bytes.TrimSpace(buf), []byte("\n")) {
+		var rec map[string]any
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		msg, _ := rec["msg"].(string)
+		msgs = append(msgs, msg)
+	}
+	return msgs
+}
+
 var fig5Args = []string{"-experiment", "fig5", "-runs", "1", "-rounds", "40"}
 
 func TestHelpMatchesGolden(t *testing.T) {
@@ -175,6 +196,14 @@ func TestFig5ArtifactsLedgerAndTrace(t *testing.T) {
 	}
 	if got, want := roundEvents(t, filepath.Join(traceDir, "TRACE_fig5.jsonl")), int(prov.Trials)*40; got != want {
 		t.Errorf("trace holds %d round events, want trials×rounds = %d", got, want)
+	}
+
+	// Every log line is JSON, and the run's milestones are all there.
+	msgs := logMessages(t, logPath)
+	for _, want := range []string{"run started", "experiment finished", "run finished"} {
+		if !slices.Contains(msgs, want) {
+			t.Errorf("-log messages %q lack %q", msgs, want)
+		}
 	}
 }
 

@@ -124,6 +124,26 @@ func roundEvents(t *testing.T, path string) int {
 	return n
 }
 
+// logMessages decodes every line of a -log file with encoding/json and
+// returns the records' msg fields in order.
+func logMessages(t *testing.T, path string) []string {
+	t.Helper()
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var msgs []string
+	for _, line := range bytes.Split(bytes.TrimSpace(buf), []byte("\n")) {
+		var rec map[string]any
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		msg, _ := rec["msg"].(string)
+		msgs = append(msgs, msg)
+	}
+	return msgs
+}
+
 func TestHelpMatchesGolden(t *testing.T) {
 	_, stderr, code := runCLI(t, t.TempDir(), "-h")
 	if code != 0 {
@@ -180,6 +200,9 @@ func TestObservabilityArtifactsAndLedger(t *testing.T) {
 	}
 	if got := roundEvents(t, trace); got != 3*40 {
 		t.Errorf("trace holds %d round events, want runs×rounds = %d", got, 3*40)
+	}
+	if got, want := logMessages(t, logPath), []string{"run started", "run finished"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("-log messages %q, want %q", got, want)
 	}
 }
 

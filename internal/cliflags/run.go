@@ -114,9 +114,9 @@ func (r *Run) Validate() error {
 	return nil
 }
 
-// Open registers the campaign id under a fresh hub with the flags'
-// progress reporter, log file, trace ring and timeline, logs "run
-// started" with attrs, and serves the hub when -metrics-addr is set.
+// Open builds the run's one campaign, id, with the flags' progress
+// reporter, log file, trace ring and timeline, logs "run started" with
+// attrs, and serves the campaign when -metrics-addr is set.
 // Attaching the campaign draws no RNG values, so results are
 // byte-identical with or without it. After a successful Open the caller
 // must Close; a failed Open has already closed.
@@ -140,12 +140,7 @@ func (r *Run) Open(ctx context.Context, id string, attrs ...any) (*obs.Campaign,
 			opts.TraceCap = obs.DefaultTraceCap
 		}
 	}
-	hub := obs.NewHub()
-	camp, err := hub.Register(id, opts)
-	if err != nil {
-		r.Close(ctx, err)
-		return nil, err
-	}
+	camp := obs.NewCampaign(id, opts)
 	r.camp = camp
 	if r.TimelinePath != "" {
 		r.timeline = obs.NewTimeline(camp.Registry, obs.TimelineConfig{WindowTrials: r.TimelineWindow})
@@ -154,15 +149,16 @@ func (r *Run) Open(ctx context.Context, id string, attrs ...any) (*obs.Campaign,
 	camp.Logger.Info("run started", attrs...)
 
 	if r.MetricsAddr != "" {
-		srv, err := obs.ServeHub(r.MetricsAddr, hub)
+		srv, err := obs.Serve(r.MetricsAddr, camp)
 		if err != nil {
 			r.Close(ctx, err)
 			return nil, err
 		}
-		// Close on signal as well as on return: a ^C mid-campaign must
-		// release the listener promptly. Server.Close is idempotent, so
+		// Close on signal as well as on return: a ^C mid-campaign turns
+		// /readyz 503 (the broker closes, ending live streams) and must
+		// release the listener promptly. Both closes are idempotent, so
 		// the two paths race safely.
-		unhook := context.AfterFunc(ctx, func() { hub.CloseAll(); srv.Close() })
+		unhook := context.AfterFunc(ctx, func() { camp.Events.Close(); srv.Close() })
 		r.stopServer = func() { srv.Close(); unhook() }
 		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics (also /campaigns, /campaigns/%s/events, /debug/pprof/)\n", srv.Addr, camp.ID)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"log/slog"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,13 +15,14 @@ import (
 // Campaign logging rides the same determinism contract as the rest of the
 // obs layer (DESIGN.md §8, §15): a campaign scope with a live logger and
 // event broker is a pure sink, so installing one changes no result byte,
-// and the canonicalized log (wall-clock fields stripped) is invariant
-// across worker counts. `make determinism` runs this test.
+// and the decoded log (wall-clock fields dropped) is invariant across
+// worker counts. `make determinism` runs this test.
 
 // loggedRobustness runs the shared small sweep under a full campaign
 // scope — logger, SSE subscriber, trace ring — and returns the result
-// plus the canonicalized log bytes.
-func loggedRobustness(t *testing.T, workers int) (*RobustnessResult, string) {
+// plus the log, each line decoded with encoding/json and stripped of its
+// wall-clock keys (ts, wall_ms, rate_per_s).
+func loggedRobustness(t *testing.T, workers int) (*RobustnessResult, []map[string]any) {
 	t.Helper()
 	var logBuf bytes.Buffer
 	camp := obs.NewCampaign("test", obs.CampaignOptions{
@@ -46,11 +48,18 @@ func loggedRobustness(t *testing.T, workers int) (*RobustnessResult, string) {
 		slog.Int("points", len(res.Points)), slog.Int("workers_masked", 0))
 	camp.Finish(nil)
 
-	var canon bytes.Buffer
-	if err := obs.CanonicalizeLog(bytes.NewReader(logBuf.Bytes()), &canon); err != nil {
-		t.Fatal(err)
+	var lines []map[string]any
+	for _, line := range strings.Split(strings.TrimSuffix(logBuf.String(), "\n"), "\n") {
+		var m map[string]any
+		if err := json.Unmarshal([]byte(line), &m); err != nil {
+			t.Fatalf("log line is not JSON: %v\n%s", err, line)
+		}
+		delete(m, "ts")
+		delete(m, "wall_ms")
+		delete(m, "rate_per_s")
+		lines = append(lines, m)
 	}
-	return res, canon.String()
+	return res, lines
 }
 
 func TestLoggingDoesNotPerturbResults(t *testing.T) {
@@ -62,24 +71,21 @@ func TestLoggingDoesNotPerturbResults(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	logged, canonParallel := loggedRobustness(t, manyWorkers())
+	logged, logParallel := loggedRobustness(t, manyWorkers())
 	if !reflect.DeepEqual(bare, logged) {
 		bb, _ := json.Marshal(bare)
 		bl, _ := json.Marshal(logged)
 		t.Fatalf("attaching a logging campaign changed the result:\nbare:   %s\nlogged: %s", bb, bl)
 	}
 
-	// Worker-count invariance of the canonicalized log: the wall-clock
-	// fields are stripped, everything left is deterministic.
-	_, canonSerial := loggedRobustness(t, 1)
-	if canonSerial != canonParallel {
-		t.Fatalf("worker count changed the canonicalized log:\n1 worker:\n%s\nparallel:\n%s", canonSerial, canonParallel)
-	}
-	if strings.Contains(canonParallel, `"ts"`) {
-		t.Fatalf("canonicalized log still carries timestamps:\n%s", canonParallel)
+	// Worker-count invariance of the log: the wall-clock fields are
+	// dropped, everything left is deterministic.
+	_, logSerial := loggedRobustness(t, 1)
+	if !reflect.DeepEqual(logSerial, logParallel) {
+		t.Fatalf("worker count changed the log:\n1 worker:\n%v\nparallel:\n%v", logSerial, logParallel)
 	}
 	// Guard against the vacuous pass: the log must actually have lines.
-	if !strings.Contains(canonParallel, `"msg":"sweep finished"`) {
-		t.Fatalf("campaign log missing expected line:\n%s", canonParallel)
+	if !slices.ContainsFunc(logParallel, func(m map[string]any) bool { return m["msg"] == "sweep finished" }) {
+		t.Fatalf("campaign log missing expected line:\n%v", logParallel)
 	}
 }

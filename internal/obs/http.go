@@ -1,29 +1,148 @@
 package obs
 
 import (
+	"encoding/json"
 	"expvar"
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
+	"strings"
 	"sync"
 	"time"
 )
 
-// expvarSnapshotHandler mirrors expvar.Handler's output — the
-// process-global published vars (cmdline, memstats, anything the
-// embedder added) — and appends snapshot() under "witag". Duplicating the
-// loop here avoids expvar.Publish, whose global table panics on
-// re-registration, so several hub servers coexist in one process.
-func expvarSnapshotHandler(snapshot func() Snapshot) http.HandlerFunc {
-	return func(w http.ResponseWriter, _ *http.Request) {
+// Live campaign HTTP surface. The mux serves one campaign's
+// observability endpoints:
+//
+//	/campaigns                    the campaign's status row, in a list
+//	/campaigns/<id>               the campaign's status JSON
+//	/campaigns/<id>/metrics       Prometheus text (default) or ?format=json snapshot
+//	/campaigns/<id>/events        SSE stream of progress/phase/anomaly/status events
+//	/campaigns/<id>/timeseries    windowed metric time-series JSON (?last=N)
+//	/metrics                      the campaign's metrics, unlabeled
+//	/healthz                      liveness (always 200 while the process serves)
+//	/readyz                       readiness (503 once the event broker closes)
+//	/debug/vars                   expvar-style JSON with the metrics under "witag"
+//	/debug/pprof/                 the net/http/pprof suite
+//
+// Everything hangs off a private mux, so the package never mutates
+// http.DefaultServeMux or the process-global expvar table and several
+// servers coexist in one process.
+
+// writeJSON writes v as an indented JSON response.
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
+}
+
+// NewMux returns a mux serving c's observability endpoints.
+func NewMux(c *Campaign) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_ = c.Registry.Snapshot().WritePrometheus(w)
+	})
+	mux.HandleFunc("/campaigns", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, []CampaignStatus{c.Status()})
+	})
+	mux.HandleFunc("/campaigns/", func(w http.ResponseWriter, r *http.Request) {
+		rest := strings.TrimPrefix(r.URL.Path, "/campaigns/")
+		id, sub, _ := strings.Cut(rest, "/")
+		if id != c.ID {
+			http.NotFound(w, r)
+			return
+		}
+		switch sub {
+		case "":
+			writeJSON(w, c.Status())
+		case "metrics":
+			snap := c.Registry.Snapshot()
+			if r.URL.Query().Get("format") == "json" {
+				writeJSON(w, snap)
+				return
+			}
+			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+			_ = snap.WritePrometheusLabeled(w, "campaign", c.ID)
+		case "events":
+			c.Events.ServeSSE(w, r, DefaultEventQueue)
+		case "timeseries":
+			tl := c.TimelineRef()
+			if tl == nil {
+				http.Error(w, "campaign has no timeline (run with -timeline)", http.StatusNotFound)
+				return
+			}
+			wins := tl.Windows()
+			if lastStr := r.URL.Query().Get("last"); lastStr != "" {
+				var last int
+				if _, err := fmt.Sscanf(lastStr, "%d", &last); err != nil || last < 0 {
+					http.Error(w, "bad last parameter", http.StatusBadRequest)
+					return
+				}
+				if last < len(wins) {
+					wins = wins[len(wins)-last:]
+				}
+			}
+			writeJSON(w, TimeseriesResponse{
+				Campaign:     c.ID,
+				WindowTrials: tl.Config().WindowTrials,
+				Total:        tl.Total(),
+				Dropped:      tl.Dropped(),
+				Windows:      wins,
+			})
+		default:
+			http.NotFound(w, r)
+		}
+	})
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
+		fmt.Fprintln(w, "ok")
+	})
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
+		if c.Events.Closed() {
+			http.Error(w, "shutting down", http.StatusServiceUnavailable)
+			return
+		}
+		fmt.Fprintln(w, "ready")
+	})
+	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
+		// expvar.Handler's output — the process-global published vars
+		// (cmdline, memstats, anything the embedder added) — with the
+		// snapshot appended under "witag". Writing the loop here avoids
+		// expvar.Publish, whose global table panics on re-registration.
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		fmt.Fprintf(w, "{\n")
 		expvar.Do(func(kv expvar.KeyValue) {
 			fmt.Fprintf(w, "%q: %s,\n", kv.Key, kv.Value.String())
 		})
-		snap := expvar.Func(func() any { return snapshot() })
+		snap := expvar.Func(func() any { return c.Registry.Snapshot() })
 		fmt.Fprintf(w, "%q: %s\n}\n", "witag", snap.String())
-	}
+	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/" {
+			http.NotFound(w, r)
+			return
+		}
+		fmt.Fprint(w, "witag observability: /campaigns /metrics /healthz /readyz /debug/vars /debug/pprof/\n")
+	})
+	return mux
+}
+
+// TimeseriesResponse is the /campaigns/<id>/timeseries payload: the
+// campaign's retained timeline windows plus the ring's accounting, so a
+// poller knows when windows were dropped between fetches.
+type TimeseriesResponse struct {
+	Campaign     string           `json:"campaign"`
+	WindowTrials int              `json:"window_trials"`
+	Total        int              `json:"total"`
+	Dropped      int              `json:"dropped"`
+	Windows      []TimelineWindow `json:"windows"`
 }
 
 // Server is a running observability listener.
@@ -37,16 +156,16 @@ type Server struct {
 	closeErr  error
 }
 
-// ServeHandler binds addr and serves an arbitrary handler (the hub mux,
-// in the CLIs) in a background goroutine.
-func ServeHandler(addr string, handler http.Handler) (*Server, error) {
+// Serve binds addr and serves c's endpoints (NewMux) in a background
+// goroutine.
+func Serve(addr string, c *Campaign) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
 		Addr: ln.Addr(),
-		srv:  &http.Server{Handler: handler, ReadHeaderTimeout: 5 * time.Second},
+		srv:  &http.Server{Handler: NewMux(c), ReadHeaderTimeout: 5 * time.Second},
 		done: make(chan error, 1),
 	}
 	go func() {

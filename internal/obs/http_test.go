@@ -1,12 +1,15 @@
 package obs
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 func get(t *testing.T, url string) (int, string) {
@@ -23,20 +26,15 @@ func get(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
-// hubWithRounds returns a hub whose one campaign has counted n rounds.
-func hubWithRounds(t *testing.T, n int64) *Hub {
-	t.Helper()
-	h := NewHub()
-	c, err := h.Register("a", CampaignOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+// campaignWithRounds returns a campaign that has counted n rounds.
+func campaignWithRounds(n int64) *Campaign {
+	c := NewCampaign("a", CampaignOptions{})
 	c.Registry.Counter("core.rounds").Add(n)
-	return h
+	return c
 }
 
 func TestServeEndpoints(t *testing.T) {
-	srv, err := ServeHub("127.0.0.1:0", hubWithRounds(t, 7))
+	srv, err := Serve("127.0.0.1:0", campaignWithRounds(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,15 +77,15 @@ func TestServeEndpoints(t *testing.T) {
 	}
 }
 
-// Two servers over two hubs must coexist: the layer keeps no
+// Two servers over two campaigns must coexist: the layer keeps no
 // process-global state (no expvar.Publish, no DefaultServeMux).
 func TestTwoServersCoexist(t *testing.T) {
-	a, err := ServeHub("127.0.0.1:0", hubWithRounds(t, 1))
+	a, err := Serve("127.0.0.1:0", campaignWithRounds(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := ServeHub("127.0.0.1:0", hubWithRounds(t, 2))
+	b, err := Serve("127.0.0.1:0", campaignWithRounds(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,5 +96,230 @@ func TestTwoServersCoexist(t *testing.T) {
 	}
 	if _, body := get(t, fmt.Sprintf("http://%s/metrics", b.Addr)); !strings.Contains(body, "witag_core_rounds 2") {
 		t.Fatalf("server B: %q", body)
+	}
+}
+
+func TestHubHTTPEndpoints(t *testing.T) {
+	a := campaignWithRounds(5)
+	srv := httptest.NewServer(NewMux(a))
+	defer srv.Close()
+	get := func(path string) (int, string) {
+		t.Helper()
+		return get(t, srv.URL+path)
+	}
+
+	if code, body := get("/healthz"); code != 200 || !strings.Contains(body, "ok") {
+		t.Errorf("/healthz = %d %q", code, body)
+	}
+	if code, body := get("/readyz"); code != 200 || !strings.Contains(body, "ready") {
+		t.Errorf("/readyz = %d %q", code, body)
+	}
+
+	code, body := get("/campaigns")
+	if code != 200 {
+		t.Fatalf("/campaigns = %d", code)
+	}
+	var list []CampaignStatus
+	if err := json.Unmarshal([]byte(body), &list); err != nil {
+		t.Fatalf("/campaigns not JSON: %v", err)
+	}
+	if len(list) != 1 || list[0].ID != "a" || list[0].State != "running" {
+		t.Fatalf("/campaigns = %+v", list)
+	}
+
+	if code, body := get("/campaigns/a"); code != 200 || !strings.Contains(body, `"id": "a"`) {
+		t.Errorf("/campaigns/a = %d %q", code, body)
+	}
+	if code, _ := get("/campaigns/nope"); code != 404 {
+		t.Errorf("/campaigns/nope = %d, want 404", code)
+	}
+	if code, _ := get("/campaigns/a/bogus"); code != 404 {
+		t.Errorf("/campaigns/a/bogus = %d, want 404", code)
+	}
+
+	// Per-campaign Prometheus text carries the campaign label on every
+	// series, composed with histogram le labels.
+	_, prom := get("/campaigns/a/metrics")
+	if !strings.Contains(prom, `witag_core_rounds{campaign="a"} 5`) {
+		t.Errorf("labeled metrics missing counter:\n%s", prom)
+	}
+	code, jsonBody := get("/campaigns/a/metrics?format=json")
+	if code != 200 {
+		t.Fatalf("metrics?format=json = %d", code)
+	}
+	var snap Snapshot
+	if err := json.Unmarshal([]byte(jsonBody), &snap); err != nil {
+		t.Fatalf("metrics JSON unparseable: %v", err)
+	}
+	if snap.Counters["core.rounds"] != 5 {
+		t.Errorf("JSON snapshot core.rounds = %d, want 5", snap.Counters["core.rounds"])
+	}
+
+	// The unlabeled scrape.
+	if _, body := get("/metrics"); !strings.Contains(body, "witag_core_rounds 5") {
+		t.Errorf("/metrics missing series:\n%s", body)
+	}
+
+	a.Events.Close()
+	if code, _ := get("/readyz"); code != http.StatusServiceUnavailable {
+		t.Errorf("/readyz after the broker closed = %d, want 503", code)
+	}
+	if code, _ := get("/healthz"); code != 200 {
+		t.Errorf("/healthz after the broker closed = %d, want 200 (liveness is not readiness)", code)
+	}
+}
+
+func TestHubTimeseriesEndpoint(t *testing.T) {
+	a := NewCampaign("a", CampaignOptions{})
+	srv := httptest.NewServer(NewMux(a))
+	defer srv.Close()
+	get := func(path string) (int, string) {
+		t.Helper()
+		return get(t, srv.URL+path)
+	}
+
+	// No timeline attached: 404 with a hint, not an empty 200.
+	if code, body := get("/campaigns/a/timeseries"); code != 404 || !strings.Contains(body, "-timeline") {
+		t.Errorf("timeseries without timeline = %d %q, want 404 with hint", code, body)
+	}
+
+	tl := NewTimeline(a.Registry, TimelineConfig{WindowTrials: 2})
+	a.SetTimeline(tl)
+	c := a.Registry.Counter("core.rounds")
+	tl.BeginSegment()
+	for i := 0; i < 3; i++ {
+		c.Add(10)
+		tl.NoteTrials(2*i, 2*i+2)
+	}
+
+	code, body := get("/campaigns/a/timeseries")
+	if code != 200 {
+		t.Fatalf("timeseries = %d", code)
+	}
+	var ts TimeseriesResponse
+	if err := json.Unmarshal([]byte(body), &ts); err != nil {
+		t.Fatalf("timeseries not JSON: %v", err)
+	}
+	if ts.Campaign != "a" || ts.WindowTrials != 2 || ts.Total != 3 || len(ts.Windows) != 3 {
+		t.Fatalf("timeseries = campaign %q window %d total %d windows %d",
+			ts.Campaign, ts.WindowTrials, ts.Total, len(ts.Windows))
+	}
+	for _, w := range ts.Windows {
+		if w.Kind != WindowLogical || w.Delta.Counters["core.rounds"] != 10 {
+			t.Errorf("window did not survive the HTTP round-trip: %+v", w)
+		}
+	}
+
+	_, body = get("/campaigns/a/timeseries?last=1")
+	if err := json.Unmarshal([]byte(body), &ts); err != nil {
+		t.Fatal(err)
+	}
+	if len(ts.Windows) != 1 || ts.Windows[0].Seq != 2 {
+		t.Errorf("?last=1 = %+v, want the newest window only", ts.Windows)
+	}
+
+	if code, _ := get("/campaigns/a/timeseries?last=bogus"); code != 400 {
+		t.Errorf("?last=bogus = %d, want 400", code)
+	}
+	if code, _ := get("/campaigns/a/timeseries?last=-1"); code != 400 {
+		t.Errorf("?last=-1 = %d, want 400", code)
+	}
+}
+
+func TestWritePrometheusLabeledEscaping(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("core.rounds").Add(7)
+	reg.Histogram("lat", []int64{1}).Observe(1)
+	snap := reg.Snapshot()
+
+	cases := []struct{ id, want string }{
+		{`plain`, `campaign="plain"`},
+		{`has"quote`, `campaign="has\"quote"`},
+		{`back\slash`, `campaign="back\\slash"`},
+		{"new\nline", `campaign="new\nline"`},
+		{"all\"of\\it\n", `campaign="all\"of\\it\n"`},
+	}
+	for _, tc := range cases {
+		var b strings.Builder
+		if err := snap.WritePrometheusLabeled(&b, "campaign", tc.id); err != nil {
+			t.Fatal(err)
+		}
+		out := b.String()
+		if !strings.Contains(out, "witag_core_rounds{"+tc.want+"} 7") {
+			t.Errorf("label %q: escaped form %s missing:\n%s", tc.id, tc.want, out)
+		}
+		// The exposition format is line-oriented: a raw newline inside a
+		// label value would split a sample in two.
+		for _, line := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
+			if strings.HasPrefix(line, "witag_") && !strings.Contains(line, " ") {
+				t.Errorf("label %q: sample line split by raw newline: %q", tc.id, line)
+			}
+		}
+		// Histogram bucket lines compose the campaign label with le.
+		if !strings.Contains(out, "witag_lat_bucket{"+tc.want+",le=") {
+			t.Errorf("label %q: bucket lines miss the label:\n%s", tc.id, out)
+		}
+	}
+}
+
+// The shutdown path (the CLIs' Ctrl-C hook closes the campaign's broker)
+// must turn readiness 503 while a live SSE stream is still being torn
+// down, and end that stream rather than hang it.
+func TestReadyzGoes503DuringCloseAllWithLiveStream(t *testing.T) {
+	a := NewCampaign("a", CampaignOptions{})
+	srv := httptest.NewServer(NewMux(a))
+	defer srv.Close()
+
+	// Attach a real SSE client and wait for the open comment, so the
+	// close runs with a live stream to tear down.
+	resp, err := http.Get(srv.URL + "/campaigns/a/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	if line, err := br.ReadString('\n'); err != nil || !strings.HasPrefix(line, ":") {
+		t.Fatalf("no SSE open frame: %q, %v", line, err)
+	}
+	a.PublishAnomaly("test_rule", "still flowing", 1)
+
+	done := make(chan struct{})
+	go func() {
+		a.Events.Close()
+		close(done)
+	}()
+
+	// While (and after) shutdown: readiness must read 503 even though the
+	// stream teardown is still in flight; liveness stays 200.
+	deadline := time.After(2 * time.Second)
+	for {
+		r2, err := http.Get(srv.URL + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		code := r2.StatusCode
+		io.Copy(io.Discard, r2.Body)
+		r2.Body.Close()
+		if code == http.StatusServiceUnavailable {
+			break
+		}
+		select {
+		case <-deadline:
+			t.Fatal("/readyz never went 503 during shutdown")
+		default:
+		}
+	}
+	<-done
+	// The broker closed: the live stream must end, not hang.
+	if _, err := io.ReadAll(br); err != nil {
+		t.Fatalf("SSE stream errored instead of closing: %v", err)
+	}
+	r3, err := http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r3.Body.Close()
+	if r3.StatusCode != 200 {
+		t.Errorf("/healthz during shutdown = %d, want 200", r3.StatusCode)
 	}
 }

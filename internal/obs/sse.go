@@ -138,6 +138,17 @@ func (b *Broker) Close() {
 	}
 }
 
+// Closed reports whether Close has run (true for nil) — the readiness
+// signal of a serving campaign.
+func (b *Broker) Closed() bool {
+	if b == nil {
+		return true
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.closed
+}
+
 // ServeSSE streams the broker's events to w as server-sent events until
 // the client disconnects or the broker closes. Each event renders as
 // "event: <kind>" + "data: <json>" frames; a comment frame is written
