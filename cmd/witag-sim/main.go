@@ -17,9 +17,9 @@
 //
 // Observability (all opt-in, none changes any result byte):
 //
-//	-metrics-addr :9090   serve the campaign hub for the lifetime of the
-//	                      run: Prometheus text at /metrics, campaign list
-//	                      and status at /campaigns, a live SSE event
+//	-metrics-addr :9090   serve the run's campaign for the lifetime of the
+//	                      run: Prometheus text at /metrics, its status at
+//	                      /campaigns and /campaigns/sim, a live SSE event
 //	                      stream at /campaigns/sim/events, plus
 //	                      /debug/vars and /debug/pprof/ (":0" picks a
 //	                      port, printed on stderr)

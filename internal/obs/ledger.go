@@ -24,7 +24,7 @@ type RunRecord struct {
 	Kind string `json:"kind"` // always "run"
 	// Tool is the invoking command ("witag-bench", "witag-sim").
 	Tool string `json:"tool"`
-	// Campaign is the hub campaign ID the invocation ran under.
+	// Campaign is the ID of the campaign the invocation ran under.
 	Campaign string `json:"campaign"`
 	// Outcome is "ok", "error" or "cancelled".
 	Outcome string `json:"outcome"`
