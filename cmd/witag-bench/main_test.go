@@ -236,3 +236,13 @@ func TestBadSelectorExitsWithUsageError(t *testing.T) {
 	}
 	checkGolden(t, "bad_experiment.golden", stderr)
 }
+
+// TestAblationsMatchGolden pins every ablation table the CLI prints; the
+// golden was captured before the ablations moved onto one table.
+func TestAblationsMatchGolden(t *testing.T) {
+	stdout, stderr, code := runCLI(t, t.TempDir(), "-experiment", "ablations", "-rounds", "40")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	checkGolden(t, "ablations.golden", stdout)
+}
