@@ -40,7 +40,7 @@ func once(b *testing.B, key, table string) {
 
 func BenchmarkFigure5BERAndThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure5(experiments.Figure5Config{Seed: 42, Runs: 2, Round: 300})
+		res, err := experiments.Figure5Ctx(context.Background(), experiments.Figure5Config{Seed: 42, Runs: 2, Round: 300})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -57,12 +57,12 @@ func BenchmarkFigure5BERAndThroughput(b *testing.B) {
 func BenchmarkFigure6NLoSCDF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := experiments.Figure6Config{Seed: 11, Runs: 30, Round: 150}
-		a, err := experiments.Figure6(experiments.LocationA, cfg)
+		a, err := experiments.Figure6Ctx(context.Background(), experiments.LocationA, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		cfg.Seed = 12
-		loc, err := experiments.Figure6(experiments.LocationB, cfg)
+		loc, err := experiments.Figure6Ctx(context.Background(), experiments.LocationB, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func BenchmarkFigure6NLoSCDF(b *testing.B) {
 
 func BenchmarkFigure3ChannelChange(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure3(9)
+		res, err := experiments.Figure3Ctx(context.Background(), 9, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func BenchmarkFigure3ChannelChange(b *testing.B) {
 
 func BenchmarkSection41ThroughputSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Section41Sweep()
+		res, err := experiments.Section41SweepCtx(context.Background(), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func BenchmarkPriorSystemComparison(b *testing.B) {
 
 func BenchmarkSection7PowerModel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Section7Power(5)
+		res, err := experiments.Section7PowerCtx(context.Background(), 5, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func BenchmarkSection7PowerModel(b *testing.B) {
 
 func BenchmarkEncryptionTransparency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationEncryption(16, 120)
+		res, err := experiments.RunAblation(context.Background(), "crypto", 16, 480, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func BenchmarkEncryptionTransparency(b *testing.B) {
 
 func BenchmarkAblationSwitchMode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationSwitchMode(11, 200)
+		res, err := experiments.RunAblation(context.Background(), "switch", 11, 400, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func BenchmarkAblationSwitchMode(b *testing.B) {
 
 func BenchmarkAblationTriggerCount(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationTriggerCount(12, 100)
+		res, err := experiments.RunAblation(context.Background(), "trigger", 12, 400, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -171,7 +171,7 @@ func BenchmarkAblationTriggerCount(b *testing.B) {
 
 func BenchmarkAblationFEC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationFEC(13, 5)
+		res, err := experiments.RunAblation(context.Background(), "fec", 13, 0, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func BenchmarkAblationFEC(b *testing.B) {
 
 func BenchmarkAblationAMPDUSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationAMPDUSize(14, 100)
+		res, err := experiments.RunAblation(context.Background(), "ampdu", 14, 400, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -191,7 +191,7 @@ func BenchmarkAblationAMPDUSize(b *testing.B) {
 
 func BenchmarkAblationRobustRate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationRobustRate(15, 100)
+		res, err := experiments.RunAblation(context.Background(), "mcs", 15, 400, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -83,7 +83,6 @@ import (
 	"witag/internal/obs"
 	"witag/internal/perf"
 	"witag/internal/regress"
-	"witag/internal/sim"
 	"witag/internal/traffic"
 )
 
@@ -307,7 +306,7 @@ func run(ctx context.Context, cfg benchConfig, rf *cliflags.Run) (err error) {
 	// -timeline, the experiment gets its own fresh timeline attached to
 	// the campaign (every runner under it then samples windowed deltas),
 	// written as TL_<name>.jsonl beside the BENCH artifacts.
-	runExperiment := func(name string, fn func(name string, runner sim.Runner) error) error {
+	runExperiment := func(name string, fn func(name string) error) error {
 		camp.Logger.Info("experiment started", slog.String("experiment", name))
 		o := camp.Observer
 		var rec *obs.Recorder
@@ -322,9 +321,7 @@ func run(ctx context.Context, cfg benchConfig, rf *cliflags.Run) (err error) {
 			defer camp.SetTimeline(nil)
 		}
 		prev := experiments.SetObserver(o)
-		err := profiled(cfg.profileDir, name, func() error {
-			return fn(name, sim.Runner{Workers: parallel, Obs: o, Campaign: camp})
-		})
+		err := profiled(cfg.profileDir, name, func() error { return fn(name) })
 		experiments.SetObserver(prev)
 		if err != nil {
 			return err
@@ -346,9 +343,9 @@ func run(ctx context.Context, cfg benchConfig, rf *cliflags.Run) (err error) {
 
 	// The six regular experiments print their table, assert the paper's
 	// shape and emit the result itself as the series.
-	shaped := func(fn func(sim.Runner) (result, error)) func(string, sim.Runner) error {
-		return func(name string, runner sim.Runner) error {
-			res, err := fn(runner)
+	shaped := func(fn func() (result, error)) func(string) error {
+		return func(name string) error {
+			res, err := fn()
 			if err != nil {
 				return err
 			}
@@ -361,13 +358,13 @@ func run(ctx context.Context, cfg benchConfig, rf *cliflags.Run) (err error) {
 	}
 	for _, e := range []struct {
 		name string
-		run  func(name string, runner sim.Runner) error
+		run  func(name string) error
 	}{
-		{"fig3", shaped(func(sim.Runner) (result, error) { return experiments.Figure3Ctx(ctx, seed, parallel) })},
-		{"fig5", shaped(func(sim.Runner) (result, error) {
+		{"fig3", shaped(func() (result, error) { return experiments.Figure3Ctx(ctx, seed, parallel) })},
+		{"fig5", shaped(func() (result, error) {
 			return experiments.Figure5Ctx(ctx, experiments.Figure5Config{Seed: seed, Runs: runs, Round: rounds, Workers: parallel})
 		})},
-		{"fig6", func(name string, _ sim.Runner) error {
+		{"fig6", func(name string) error {
 			fcfg := experiments.DefaultFigure6Config()
 			fcfg.Seed = seed
 			fcfg.Workers = parallel
@@ -388,33 +385,22 @@ func run(ctx context.Context, cfg benchConfig, rf *cliflags.Run) (err error) {
 			}
 			return emit(name, map[string]experiments.Figure6Series{"A": a.Series(), "B": b.Series()})
 		}},
-		{"s41", shaped(func(sim.Runner) (result, error) { return experiments.Section41SweepCtx(ctx, parallel) })},
-		{"compare", shaped(func(sim.Runner) (result, error) { return experiments.PriorSystemComparison(seed) })},
-		{"power", shaped(func(runner sim.Runner) (result, error) { return experiments.Section7PowerCtx(ctx, runner, seed) })},
-		{"ablations", func(name string, runner sim.Runner) error {
+		{"s41", shaped(func() (result, error) { return experiments.Section41SweepCtx(ctx, parallel) })},
+		{"compare", shaped(func() (result, error) { return experiments.PriorSystemComparison(seed) })},
+		{"power", shaped(func() (result, error) { return experiments.Section7PowerCtx(ctx, seed, parallel) })},
+		{"ablations", func(name string) error {
 			ablationSeries := map[string]*experiments.AblationResult{}
-			for _, a := range []struct {
-				name string
-				run  func(context.Context, sim.Runner, int64, int) (*experiments.AblationResult, error)
-				n    int // rounds per point (FEC framing: frames)
-			}{
-				{"switch mode", experiments.AblationSwitchModeCtx, rounds / 2},
-				{"trigger count", experiments.AblationTriggerCountCtx, rounds / 4},
-				{"FEC framing", experiments.AblationFECCtx, 6},
-				{"A-MPDU size", experiments.AblationAMPDUSizeCtx, rounds / 4},
-				{"robust rate", experiments.AblationRobustRateCtx, rounds / 4},
-				{"encryption", experiments.AblationEncryptionCtx, rounds / 4},
-			} {
-				res, err := a.run(ctx, runner, seed, a.n)
+			for _, a := range experiments.Ablations {
+				res, err := experiments.RunAblation(ctx, a.Name, seed, rounds, parallel)
 				if err != nil {
-					return fmt.Errorf("%s: %w", a.name, err)
+					return fmt.Errorf("%s: %w", a.Series, err)
 				}
 				fmt.Println(res.Render())
-				ablationSeries[a.name] = res
+				ablationSeries[a.Series] = res
 			}
 			return emit(name, ablationSeries)
 		}},
-		{"robustness", shaped(func(sim.Runner) (result, error) {
+		{"robustness", shaped(func() (result, error) {
 			rcfg := experiments.DefaultRobustnessConfig()
 			rcfg.Seed = seed
 			rcfg.Workers = parallel
@@ -422,7 +408,7 @@ func run(ctx context.Context, cfg benchConfig, rf *cliflags.Run) (err error) {
 			rcfg.Transfers = cfg.transfers
 			return experiments.RobustnessCtx(ctx, rcfg)
 		})},
-		{"coding", func(name string, _ sim.Runner) error {
+		{"coding", func(name string) error {
 			ccfg := experiments.DefaultAdaptiveCodingConfig()
 			ccfg.Seed = seed
 			ccfg.Workers = parallel

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,6 +21,7 @@ import (
 	"witag/internal/core"
 	"witag/internal/crypto80211"
 	"witag/internal/experiments"
+	"witag/internal/sim"
 	"witag/internal/stats"
 )
 
@@ -85,7 +87,7 @@ func run() error {
 	fmt.Printf("tag reading recovered through WPA2: %q (%d bit(s) corrected)\n", payload, corrected)
 
 	// Longer-run BER on the encrypted link.
-	rs, err := experiments.MeasureRun(sys, env, 400, 22)
+	rs, err := sim.MeasureRun(context.Background(), sys, env, 400, 22)
 	if err != nil {
 		return err
 	}

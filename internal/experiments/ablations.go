@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"witag/internal/channel"
 	"witag/internal/core"
 	"witag/internal/crypto80211"
 	"witag/internal/dot11"
@@ -25,10 +26,11 @@ import (
 // own copy of the environment, so the comparison stays paired and the
 // rows come back in configuration order regardless of scheduling.
 //
-// Each ablation's per-configuration body is a named row function taking
-// the configuration index and an explicit observer, so forensic replay
-// can re-run exactly one flagged configuration with a fresh recorder
-// (labels "ablation/<name>/cfg=<i>").
+// The ablations are one ordered table, Ablations. One row function
+// (Ablation.row) measures a configuration with an explicit observer, so
+// forensic replay looks the name up in the same table and re-runs exactly
+// one flagged configuration with a fresh recorder (labels
+// "ablation/<name>/cfg=<i>").
 
 // AblationRow is one configuration of any ablation.
 type AblationRow struct {
@@ -57,72 +59,243 @@ func (r *AblationResult) Render() string {
 	return b.String()
 }
 
-// ablationRowCount returns how many configurations the named ablation
-// sweeps; replay uses it to validate a requested index.
-func ablationRowCount(name string) (int, error) {
-	switch name {
-	case "switch":
-		return 2, nil
-	case "trigger", "ampdu", "mcs":
-		return 4, nil
-	case "fec", "crypto":
-		return 3, nil
-	default:
-		return 0, fmt.Errorf("experiments: unknown ablation %q", name)
+// Ablation is one entry of the ablation table.
+type Ablation struct {
+	Name   string // label token: seeds "ablation/<Name>", trace labels "ablation/<Name>/cfg=<i>"
+	Series string // key of the ablation's table in BENCH_ablations.json
+
+	title string
+	tagX  float64 // tag distance from the client on the LoS testbed, m
+	// Each configuration measures witag-bench's -rounds/div rounds, or a
+	// fixed frame count (FEC framing) that replay takes from here, not
+	// from the trace's round events.
+	div, frames int
+	cfgs        []ablationCfg
+	note        func(rs sim.RunStats, sys *core.System) string // nil: no note
+	// measure replaces the shared measurement with a custom row body.
+	measure func(ctx context.Context, sys *core.System, env *channel.Environment, seed int64, frames, i int) (AblationRow, error)
+	check   func(rows []AblationRow) error // the paper's shape claim; nil: none
+}
+
+// ablationCfg is one configuration: its row label and how it alters the
+// freshly built testbed (nil leaves it as built).
+type ablationCfg struct {
+	label string
+	alter func(sys *core.System) error
+}
+
+// each maps a sweep's values to its configurations.
+func each[T any](vals []T, cfg func(T) ablationCfg) []ablationCfg {
+	out := make([]ablationCfg, len(vals))
+	for i, v := range vals {
+		out[i] = cfg(v)
+	}
+	return out
+}
+
+// switchStates returns the alteration that signals with the given pair
+// of switch states.
+func switchStates(rest, flip tag.SwitchState) func(*core.System) error {
+	return func(sys *core.System) error {
+		sys.Tag.RestState, sys.Tag.FlipState = rest, flip
+		return nil
 	}
 }
 
-// stampAblation wires one ablation configuration's trace identity.
-func stampAblation(sys *core.System, name string, i int, o *obs.Observer) {
-	sys.Obs = o
-	sys.TraceID = i
-	sys.TraceLabels = fmt.Sprintf("ablation/%s/cfg=%d", name, i)
+// reshapeQuery returns the alteration that splits the aggregate into
+// triggers + data subframes.
+func reshapeQuery(triggers, data int) func(*core.System) error {
+	return func(sys *core.System) error {
+		sys.Spec.TriggerLen = triggers
+		sys.Spec.DataLen = data
+		return sys.Reshape()
+	}
 }
 
-// AblationSwitchMode compares §5.2's phase-flip signalling with the naive
-// open/short design at the worst-case (mid-span) tag position.
-func AblationSwitchMode(seed int64, rounds int) (*AblationResult, error) {
-	return AblationSwitchModeCtx(context.Background(), simRunner(0), seed, rounds)
+// withCipher returns the alteration that encrypts the network with mk's
+// cipher (nil mk: open).
+func withCipher(mk func() (crypto80211.Cipher, error)) func(*core.System) error {
+	return func(sys *core.System) error {
+		if mk != nil {
+			c, err := mk()
+			if err != nil {
+				return err
+			}
+			sys.Cipher = c
+			sys.Scheduler.Cipher = c
+		}
+		return sys.Reshape()
+	}
 }
 
-// AblationSwitchModeCtx is AblationSwitchMode on an explicit runner.
-func AblationSwitchModeCtx(ctx context.Context, r sim.Runner, seed int64, rounds int) (*AblationResult, error) {
-	rows, err := sim.Map(ctx, r, 2, func(ctx context.Context, i int) (AblationRow, error) {
-		return ablationSwitchRow(ctx, seed, rounds, i, currentObserver())
+// Ablations is the ablation table in witag-bench's run order.
+var Ablations = []Ablation{
+	// §5.2's phase-flip signalling against the naive open/short design,
+	// at the worst-case (mid-span) tag position.
+	{
+		Name: "switch", Series: "switch mode",
+		title: "switch design (tag mid-span, the worst case)", tagX: 4, div: 2,
+		cfgs: []ablationCfg{
+			{"0°/180° phase flip (WiTAG)", switchStates(tag.Phase0, tag.Phase180)},
+			{"reflective/non-reflective", switchStates(tag.Short, tag.Open)},
+		},
+		note: func(sim.RunStats, *core.System) string { return "paper: flip doubles |Δh|" },
+		check: func(rows []AblationRow) error {
+			if rows[0].BER >= rows[1].BER {
+				return fmt.Errorf("experiments: phase flip (BER %v) should beat on/off (BER %v)", rows[0].BER, rows[1].BER)
+			}
+			return nil
+		},
+	},
+	// Trigger subframes: more improve detection robustness but spend
+	// subframes that could carry data (§7 notes the overhead is small
+	// against 64-subframe aggregates).
+	{
+		Name: "trigger", Series: "trigger count",
+		title: "trigger subframes per query", tagX: 2, div: 4,
+		cfgs: each([]int{2, 4, 8, 16}, func(tl int) ablationCfg {
+			return ablationCfg{fmt.Sprintf("%d triggers + %d data subframes", tl, 64-tl), reshapeQuery(tl, 64-tl)}
+		}),
+		note: func(rs sim.RunStats, _ *core.System) string { return fmt.Sprintf("detection %.2f", rs.DetectionRate) },
+		check: func(rows []AblationRow) error {
+			if rows[0].RateKbps < rows[len(rows)-1].RateKbps {
+				return fmt.Errorf("experiments: trigger overhead should reduce the data rate")
+			}
+			return nil
+		},
+	},
+	// Raw tag bits against CRC-framed and FEC-framed transfers — the
+	// error-handling layer §4.1 leaves to future work. Goodput counts
+	// payload bits delivered in verified frames per second.
+	{
+		Name: "fec", Series: "FEC framing",
+		title: "tag-data framing and FEC (tag at 2 m, BER ≈ 0.5%)", tagX: 2, frames: 6,
+		cfgs:    []ablationCfg{{label: "raw CRC-16 framing"}, {label: "SECDED(8,4) FEC"}, {label: "SECDED + depth-12 interleaver"}},
+		measure: fecRow,
+	},
+	// Aggregate size at the default MCS.
+	{
+		Name: "ampdu", Series: "A-MPDU size",
+		title: "A-MPDU size", tagX: 2, div: 4,
+		cfgs: each([]int{8, 16, 32, 64}, func(total int) ablationCfg {
+			return ablationCfg{fmt.Sprintf("%d subframes", total), reshapeQuery(4, total-4)}
+		}),
+		check: func(rows []AblationRow) error {
+			if rows[len(rows)-1].RateKbps <= rows[0].RateKbps {
+				return fmt.Errorf("experiments: aggregation should amortise overhead")
+			}
+			return nil
+		},
+	},
+	// The query MCS: too aggressive a rate confuses path-loss failures
+	// with tag zeros (§4.1's robust-rate rule).
+	{
+		Name: "mcs", Series: "robust rate",
+		title: "query MCS (robust-rate rule)", tagX: 2, div: 4,
+		cfgs: each([]int{0, 2, 4, 7}, func(idx int) ablationCfg {
+			return ablationCfg{fmt.Sprintf("MCS%d", idx), func(sys *core.System) error {
+				m, err := dot11.HTMCS(idx)
+				if err != nil {
+					return err
+				}
+				sys.Spec.MCS = m
+				return sys.Reshape()
+			}}
+		}),
+		note: func(rs sim.RunStats, _ *core.System) string {
+			if rs.BER > 0.3 {
+				return "modulation too robust: the tag cannot corrupt it"
+			}
+			return ""
+		},
+	},
+	// The near-client deployment on open, WEP and WPA2 networks — §4's
+	// transparency claim as a table.
+	{
+		Name: "crypto", Series: "encryption",
+		title: "encryption transparency", tagX: 1, div: 4,
+		cfgs: []ablationCfg{
+			{"open", withCipher(nil)},
+			{"WEP-104", withCipher(func() (crypto80211.Cipher, error) { return crypto80211.NewWEP(make([]byte, 13), 0) })},
+			{"WPA2-CCMP", withCipher(func() (crypto80211.Cipher, error) {
+				return crypto80211.NewCCMP(make([]byte, 16), [6]byte{2, 0, 0, 0, 0, 0x10}, 0)
+			})},
+		},
+		note: func(_ sim.RunStats, sys *core.System) string {
+			return fmt.Sprintf("%d-tick subframes", sys.Spec.TicksPerSubframe)
+		},
+		// Encryption does not raise BER (it may cost rate via longer
+		// subframes).
+		check: func(rows []AblationRow) error {
+			for _, row := range rows[1:] {
+				if row.BER > rows[0].BER+0.02 {
+					return fmt.Errorf("experiments: %s BER %v far above open %v", row.Label, row.BER, rows[0].BER)
+				}
+			}
+			return nil
+		},
+	},
+}
+
+// ablationByName looks name up in the table.
+func ablationByName(name string) (*Ablation, error) {
+	for i := range Ablations {
+		if Ablations[i].Name == name {
+			return &Ablations[i], nil
+		}
+	}
+	return nil, fmt.Errorf("experiments: unknown ablation %q", name)
+}
+
+// RunAblation runs the named ablation at witag-bench's -rounds scale on
+// workers (<= 0 means runtime.NumCPU()) and checks its shape claim.
+func RunAblation(ctx context.Context, name string, seed int64, rounds, workers int) (*AblationResult, error) {
+	a, err := ablationByName(name)
+	if err != nil {
+		return nil, err
+	}
+	n := a.frames
+	if n == 0 {
+		n = rounds / a.div
+	}
+	rows, err := sim.Map(ctx, simRunner(workers), len(a.cfgs), func(ctx context.Context, i int) (AblationRow, error) {
+		return a.row(ctx, seed, n, i, currentObserver())
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &AblationResult{Title: "switch design (tag mid-span, the worst case)", Rows: rows}
-	if res.Rows[0].BER >= res.Rows[1].BER {
-		return nil, fmt.Errorf("experiments: phase flip (BER %v) should beat on/off (BER %v)",
-			res.Rows[0].BER, res.Rows[1].BER)
+	if a.check != nil {
+		if err := a.check(rows); err != nil {
+			return nil, err
+		}
 	}
-	return res, nil
+	return &AblationResult{Title: a.title, Rows: rows}, nil
 }
 
-func ablationSwitchRow(ctx context.Context, seed int64, rounds, i int, o *obs.Observer) (AblationRow, error) {
-	envSeed := stats.SubSeed(seed, "ablation/switch")
-	dataSeed := stats.SubSeed(seed, "ablation/switch", "data")
-	modes := []struct {
-		label      string
-		rest, flip tag.SwitchState
-	}{
-		{"0°/180° phase flip (WiTAG)", tag.Phase0, tag.Phase180},
-		{"reflective/non-reflective", tag.Short, tag.Open},
+// row measures configuration i over n rounds (frames, for FEC) in a fresh
+// copy of the ablation's testbed, reporting into o.
+func (a *Ablation) row(ctx context.Context, seed int64, n, i int, o *obs.Observer) (AblationRow, error) {
+	if i < 0 || i >= len(a.cfgs) {
+		return AblationRow{}, fmt.Errorf("experiments: %s config %d outside [0,%d)", a.Name, i, len(a.cfgs))
 	}
-	if i < 0 || i >= len(modes) {
-		return AblationRow{}, fmt.Errorf("experiments: switch config %d outside [0,%d)", i, len(modes))
-	}
-	mode := modes[i]
-	sys, env, err := LoSTestbed(4, envSeed)
+	label := "ablation/" + a.Name
+	cfg := a.cfgs[i]
+	sys, env, err := LoSTestbed(a.tagX, stats.SubSeed(seed, label))
 	if err != nil {
 		return AblationRow{}, err
 	}
-	stampAblation(sys, "switch", i, o)
-	sys.Tag.RestState = mode.rest
-	sys.Tag.FlipState = mode.flip
-	rs, err := sim.MeasureRun(ctx, sys, env, rounds, dataSeed)
+	sys.Obs, sys.TraceID, sys.TraceLabels = o, i, fmt.Sprintf("%s/cfg=%d", label, i)
+	if cfg.alter != nil {
+		if err := cfg.alter(sys); err != nil {
+			return AblationRow{}, err
+		}
+	}
+	if a.measure != nil {
+		row, err := a.measure(ctx, sys, env, seed, n, i)
+		row.Label = cfg.label
+		return row, err
+	}
+	rs, err := sim.MeasureRun(ctx, sys, env, n, stats.SubSeed(seed, label, "data"))
 	if err != nil {
 		return AblationRow{}, err
 	}
@@ -130,115 +303,27 @@ func ablationSwitchRow(ctx context.Context, seed int64, rounds, i int, o *obs.Ob
 	if err != nil {
 		return AblationRow{}, err
 	}
-	return AblationRow{
-		Label: mode.label, BER: rs.BER, RateKbps: rate / 1e3,
+	row := AblationRow{
+		Label: cfg.label, BER: rs.BER, RateKbps: rate / 1e3,
 		GoodputKbps: rate / 1e3 * (1 - rs.BER),
-		Note:        "paper: flip doubles |Δh|",
-	}, nil
+	}
+	if a.note != nil {
+		row.Note = a.note(rs, sys)
+	}
+	return row, nil
 }
 
-// AblationTriggerCount sweeps the number of trigger subframes: more
-// triggers improve detection robustness but spend subframes that could
-// carry data (§7 notes the overhead is small against 64-subframe
-// aggregates).
-func AblationTriggerCount(seed int64, rounds int) (*AblationResult, error) {
-	return AblationTriggerCountCtx(context.Background(), simRunner(0), seed, rounds)
-}
+// fecCodecs are the FEC ablation's configurations, in table order.
+var fecCodecs = []core.Codec{{}, {FEC: true}, {FEC: true, InterleaveDepth: 12}}
 
-// AblationTriggerCountCtx is AblationTriggerCount on an explicit runner.
-func AblationTriggerCountCtx(ctx context.Context, r sim.Runner, seed int64, rounds int) (*AblationResult, error) {
-	rows, err := sim.Map(ctx, r, 4, func(ctx context.Context, i int) (AblationRow, error) {
-		return ablationTriggerRow(ctx, seed, rounds, i, currentObserver())
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := &AblationResult{Title: "trigger subframes per query", Rows: rows}
-	// More triggers must not raise the data rate.
-	if res.Rows[0].RateKbps < res.Rows[len(res.Rows)-1].RateKbps {
-		return nil, fmt.Errorf("experiments: trigger overhead should reduce the data rate")
-	}
-	return res, nil
-}
-
-func ablationTriggerRow(ctx context.Context, seed int64, rounds, i int, o *obs.Observer) (AblationRow, error) {
-	envSeed := stats.SubSeed(seed, "ablation/trigger")
-	dataSeed := stats.SubSeed(seed, "ablation/trigger", "data")
-	triggers := []int{2, 4, 8, 16}
-	if i < 0 || i >= len(triggers) {
-		return AblationRow{}, fmt.Errorf("experiments: trigger config %d outside [0,%d)", i, len(triggers))
-	}
-	tl := triggers[i]
-	sys, env, err := LoSTestbed(2, envSeed)
-	if err != nil {
-		return AblationRow{}, err
-	}
-	stampAblation(sys, "trigger", i, o)
-	sys.Spec.TriggerLen = tl
-	sys.Spec.DataLen = 64 - tl
-	if err := sys.Reshape(); err != nil {
-		return AblationRow{}, err
-	}
-	rs, err := sim.MeasureRun(ctx, sys, env, rounds, dataSeed)
-	if err != nil {
-		return AblationRow{}, err
-	}
-	rate, err := sys.TagRateBps()
-	if err != nil {
-		return AblationRow{}, err
-	}
-	return AblationRow{
-		Label:       fmt.Sprintf("%d triggers + %d data subframes", tl, 64-tl),
-		BER:         rs.BER,
-		RateKbps:    rate / 1e3,
-		GoodputKbps: rate / 1e3 * (1 - rs.BER),
-		Note:        fmt.Sprintf("detection %.2f", rs.DetectionRate),
-	}, nil
-}
-
-// AblationFEC compares raw tag bits against CRC-framed and FEC-framed
-// transfers — the error-handling layer §4.1 leaves to future work. The
-// metric is application goodput: payload bits delivered in verified frames
-// per second.
-func AblationFEC(seed int64, frames int) (*AblationResult, error) {
-	return AblationFECCtx(context.Background(), simRunner(0), seed, frames)
-}
-
-// AblationFECCtx is AblationFEC on an explicit runner.
-func AblationFECCtx(ctx context.Context, r sim.Runner, seed int64, frames int) (*AblationResult, error) {
-	rows, err := sim.Map(ctx, r, 3, func(ctx context.Context, i int) (AblationRow, error) {
-		return ablationFECRow(ctx, seed, frames, i, currentObserver())
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &AblationResult{Title: "tag-data framing and FEC (tag at 2 m, BER ≈ 0.5%)", Rows: rows}, nil
-}
-
-func ablationFECRow(ctx context.Context, seed int64, frames, i int, o *obs.Observer) (AblationRow, error) {
-	envSeed := stats.SubSeed(seed, "ablation/fec")
-	payloadSeed := stats.SubSeed(seed, "ablation/fec", "payload")
+// fecRow transfers the same payload sequence of frames frames with codec
+// i, each frame over as many rounds as its encoded bits need, and decodes
+// what arrives — erased rounds included.
+func fecRow(ctx context.Context, sys *core.System, env *channel.Environment, seed int64, frames, i int) (AblationRow, error) {
 	const payloadBytes = 16
-	configs := []struct {
-		label string
-		codec core.Codec
-	}{
-		{"raw CRC-16 framing", core.Codec{}},
-		{"SECDED(8,4) FEC", core.Codec{FEC: true}},
-		{"SECDED + depth-12 interleaver", core.Codec{FEC: true, InterleaveDepth: 12}},
-	}
-	if i < 0 || i >= len(configs) {
-		return AblationRow{}, fmt.Errorf("experiments: fec config %d outside [0,%d)", i, len(configs))
-	}
-	cfg := configs[i]
-	sys, env, err := LoSTestbed(2, envSeed)
-	if err != nil {
-		return AblationRow{}, err
-	}
-	stampAblation(sys, "fec", i, o)
-	// Every codec transfers the same payload sequence.
-	rng := stats.NewRNG(payloadSeed)
-	delivered, attempts, rounds := 0, 0, 0
+	codec := fecCodecs[i]
+	rng := stats.NewRNG(stats.SubSeed(seed, "ablation/fec", "payload"))
+	delivered, rounds := 0, 0
 	var airtime time.Duration
 	var berSum float64
 	for f := 0; f < frames; f++ {
@@ -246,16 +331,13 @@ func ablationFECRow(ctx context.Context, seed int64, frames, i int, o *obs.Obser
 			return AblationRow{}, err
 		}
 		payload := stats.RandomBytes(rng, payloadBytes)
-		bits, err := cfg.codec.Encode(payload)
+		bits, err := codec.Encode(payload)
 		if err != nil {
 			return AblationRow{}, err
 		}
 		var rx []byte
 		for off := 0; off < len(bits); off += sys.Spec.DataLen {
-			end := off + sys.Spec.DataLen
-			if end > len(bits) {
-				end = len(bits)
-			}
+			end := min(off+sys.Spec.DataLen, len(bits))
 			env.Advance(0.05)
 			res, err := sys.QueryRound(bits[off:end])
 			if err != nil {
@@ -266,210 +348,20 @@ func ablationFECRow(ctx context.Context, seed int64, frames, i int, o *obs.Obser
 			berSum += res.BER()
 			rounds++
 		}
-		attempts++
-		got, _, err := cfg.codec.Decode(rx)
+		got, _, err := codec.Decode(rx)
 		if err == nil && string(got) == string(payload) {
 			delivered++
 		}
 	}
-	goodput := float64(delivered*payloadBytes*8) / airtime.Seconds() / 1e3
 	rate, err := sys.TagRateBps()
 	if err != nil {
 		return AblationRow{}, err
 	}
-	expansion := float64(cfg.codec.EncodedBits(payloadBytes)) / float64(payloadBytes*8)
+	expansion := float64(codec.EncodedBits(payloadBytes)) / float64(payloadBytes*8)
 	return AblationRow{
-		Label:       cfg.label,
 		BER:         berSum / float64(rounds),
 		RateKbps:    rate / 1e3,
-		GoodputKbps: goodput,
-		Note:        fmt.Sprintf("%d/%d frames verified, %.1fx coding expansion", delivered, attempts, expansion),
-	}, nil
-}
-
-// AblationAMPDUSize sweeps aggregate size at the default MCS.
-func AblationAMPDUSize(seed int64, rounds int) (*AblationResult, error) {
-	return AblationAMPDUSizeCtx(context.Background(), simRunner(0), seed, rounds)
-}
-
-// AblationAMPDUSizeCtx is AblationAMPDUSize on an explicit runner.
-func AblationAMPDUSizeCtx(ctx context.Context, r sim.Runner, seed int64, rounds int) (*AblationResult, error) {
-	rows, err := sim.Map(ctx, r, 4, func(ctx context.Context, i int) (AblationRow, error) {
-		return ablationAMPDURow(ctx, seed, rounds, i, currentObserver())
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := &AblationResult{Title: "A-MPDU size", Rows: rows}
-	if res.Rows[len(res.Rows)-1].RateKbps <= res.Rows[0].RateKbps {
-		return nil, fmt.Errorf("experiments: aggregation should amortise overhead")
-	}
-	return res, nil
-}
-
-func ablationAMPDURow(ctx context.Context, seed int64, rounds, i int, o *obs.Observer) (AblationRow, error) {
-	envSeed := stats.SubSeed(seed, "ablation/ampdu")
-	dataSeed := stats.SubSeed(seed, "ablation/ampdu", "data")
-	sizes := []int{8, 16, 32, 64}
-	if i < 0 || i >= len(sizes) {
-		return AblationRow{}, fmt.Errorf("experiments: ampdu config %d outside [0,%d)", i, len(sizes))
-	}
-	total := sizes[i]
-	sys, env, err := LoSTestbed(2, envSeed)
-	if err != nil {
-		return AblationRow{}, err
-	}
-	stampAblation(sys, "ampdu", i, o)
-	sys.Spec.TriggerLen = 4
-	sys.Spec.DataLen = total - 4
-	if err := sys.Reshape(); err != nil {
-		return AblationRow{}, err
-	}
-	rs, err := sim.MeasureRun(ctx, sys, env, rounds, dataSeed)
-	if err != nil {
-		return AblationRow{}, err
-	}
-	rate, err := sys.TagRateBps()
-	if err != nil {
-		return AblationRow{}, err
-	}
-	return AblationRow{
-		Label:       fmt.Sprintf("%d subframes", total),
-		BER:         rs.BER,
-		RateKbps:    rate / 1e3,
-		GoodputKbps: rate / 1e3 * (1 - rs.BER),
-	}, nil
-}
-
-// AblationRobustRate sweeps the query MCS: too aggressive a rate confuses
-// path-loss failures with tag zeros (§4.1's robust-rate rule).
-func AblationRobustRate(seed int64, rounds int) (*AblationResult, error) {
-	return AblationRobustRateCtx(context.Background(), simRunner(0), seed, rounds)
-}
-
-// AblationRobustRateCtx is AblationRobustRate on an explicit runner.
-func AblationRobustRateCtx(ctx context.Context, r sim.Runner, seed int64, rounds int) (*AblationResult, error) {
-	rows, err := sim.Map(ctx, r, 4, func(ctx context.Context, i int) (AblationRow, error) {
-		return ablationMCSRow(ctx, seed, rounds, i, currentObserver())
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &AblationResult{Title: "query MCS (robust-rate rule)", Rows: rows}, nil
-}
-
-func ablationMCSRow(ctx context.Context, seed int64, rounds, i int, o *obs.Observer) (AblationRow, error) {
-	envSeed := stats.SubSeed(seed, "ablation/mcs")
-	dataSeed := stats.SubSeed(seed, "ablation/mcs", "data")
-	idxs := []int{0, 2, 4, 7}
-	if i < 0 || i >= len(idxs) {
-		return AblationRow{}, fmt.Errorf("experiments: mcs config %d outside [0,%d)", i, len(idxs))
-	}
-	idx := idxs[i]
-	sys, env, err := LoSTestbed(2, envSeed)
-	if err != nil {
-		return AblationRow{}, err
-	}
-	stampAblation(sys, "mcs", i, o)
-	m, err := dot11.HTMCS(idx)
-	if err != nil {
-		return AblationRow{}, err
-	}
-	sys.Spec.MCS = m
-	if err := sys.Reshape(); err != nil {
-		return AblationRow{}, err
-	}
-	rs, err := sim.MeasureRun(ctx, sys, env, rounds, dataSeed)
-	if err != nil {
-		return AblationRow{}, err
-	}
-	rate, err := sys.TagRateBps()
-	if err != nil {
-		return AblationRow{}, err
-	}
-	note := ""
-	if rs.BER > 0.3 {
-		note = "modulation too robust: the tag cannot corrupt it"
-	}
-	return AblationRow{
-		Label:       fmt.Sprintf("MCS%d", idx),
-		BER:         rs.BER,
-		RateKbps:    rate / 1e3,
-		GoodputKbps: rate / 1e3 * (1 - rs.BER),
-		Note:        note,
-	}, nil
-}
-
-// AblationEncryption re-runs the near-client deployment on open, WEP and
-// WPA2 networks — the §4 transparency claim as a table.
-func AblationEncryption(seed int64, rounds int) (*AblationResult, error) {
-	return AblationEncryptionCtx(context.Background(), simRunner(0), seed, rounds)
-}
-
-// AblationEncryptionCtx is AblationEncryption on an explicit runner.
-func AblationEncryptionCtx(ctx context.Context, r sim.Runner, seed int64, rounds int) (*AblationResult, error) {
-	rows, err := sim.Map(ctx, r, 3, func(ctx context.Context, i int) (AblationRow, error) {
-		return ablationCryptoRow(ctx, seed, rounds, i, currentObserver())
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := &AblationResult{Title: "encryption transparency", Rows: rows}
-	// The claim: encryption does not raise BER (it may cost rate via
-	// longer subframes).
-	for _, row := range res.Rows[1:] {
-		if row.BER > res.Rows[0].BER+0.02 {
-			return nil, fmt.Errorf("experiments: %s BER %v far above open %v", row.Label, row.BER, res.Rows[0].BER)
-		}
-	}
-	return res, nil
-}
-
-func ablationCryptoRow(ctx context.Context, seed int64, rounds, i int, o *obs.Observer) (AblationRow, error) {
-	envSeed := stats.SubSeed(seed, "ablation/crypto")
-	dataSeed := stats.SubSeed(seed, "ablation/crypto", "data")
-	modes := []string{"open", "WEP-104", "WPA2-CCMP"}
-	if i < 0 || i >= len(modes) {
-		return AblationRow{}, fmt.Errorf("experiments: crypto config %d outside [0,%d)", i, len(modes))
-	}
-	mode := modes[i]
-	sys, env, err := LoSTestbed(1, envSeed)
-	if err != nil {
-		return AblationRow{}, err
-	}
-	stampAblation(sys, "crypto", i, o)
-	switch mode {
-	case "WEP-104":
-		c, err := crypto80211.NewWEP(make([]byte, 13), 0)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		sys.Cipher = c
-		sys.Scheduler.Cipher = c
-	case "WPA2-CCMP":
-		c, err := crypto80211.NewCCMP(make([]byte, 16), [6]byte{2, 0, 0, 0, 0, 0x10}, 0)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		sys.Cipher = c
-		sys.Scheduler.Cipher = c
-	}
-	if err := sys.Reshape(); err != nil {
-		return AblationRow{}, err
-	}
-	rs, err := sim.MeasureRun(ctx, sys, env, rounds, dataSeed)
-	if err != nil {
-		return AblationRow{}, err
-	}
-	rate, err := sys.TagRateBps()
-	if err != nil {
-		return AblationRow{}, err
-	}
-	return AblationRow{
-		Label:       mode,
-		BER:         rs.BER,
-		RateKbps:    rate / 1e3,
-		GoodputKbps: rate / 1e3 * (1 - rs.BER),
-		Note:        fmt.Sprintf("%d-tick subframes", sys.Spec.TicksPerSubframe),
+		GoodputKbps: float64(delivered*payloadBytes*8) / airtime.Seconds() / 1e3,
+		Note:        fmt.Sprintf("%d/%d frames verified, %.1fx coding expansion", delivered, frames, expansion),
 	}, nil
 }

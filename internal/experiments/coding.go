@@ -19,7 +19,7 @@ import (
 	"witag/internal/traffic"
 )
 
-// AdaptiveCoding: the reliability-scheme shoot-out the related work calls
+// AdaptiveCodingCtx: the reliability-scheme shoot-out the related work calls
 // for. Three transfer schemes — selective-repeat ARQ with the AIMD coding
 // ladder (ours), an LT-style fountain code (FlexScatter's rateless
 // approach) and adaptive Reed-Solomon blocks (GuardRider's
@@ -120,12 +120,7 @@ type TransferOutcome struct {
 	GoodputBps     float64
 }
 
-// AdaptiveCoding runs the sweep.
-func AdaptiveCoding(cfg AdaptiveCodingConfig) (*AdaptiveCodingResult, error) {
-	return AdaptiveCodingCtx(context.Background(), cfg)
-}
-
-// AdaptiveCodingCtx is AdaptiveCoding with cancellation.
+// AdaptiveCodingCtx runs the sweep.
 func AdaptiveCodingCtx(ctx context.Context, cfg AdaptiveCodingConfig) (*AdaptiveCodingResult, error) {
 	if cfg.PayloadBytes < 1 || cfg.PayloadBytes > link.MaxTransfer {
 		return nil, fmt.Errorf("experiments: payload %d bytes outside [1,%d]", cfg.PayloadBytes, link.MaxTransfer)

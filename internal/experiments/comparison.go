@@ -83,18 +83,13 @@ type PowerResult struct {
 	Rows []PowerRow
 }
 
-// Section7Power builds the oscillator comparison and measures the
+// Section7PowerCtx builds the oscillator comparison and measures the
 // end-to-end consequence of clock drift: the same LoS deployment run with
-// each clock at 35 °C (calibrated at 25 °C).
-func Section7Power(seed int64) (*PowerResult, error) {
-	return Section7PowerCtx(context.Background(), simRunner(0), seed)
-}
-
-// Section7PowerCtx is Section7Power on an explicit runner; the oscillator
-// configurations fan across workers, each measured in its own copy of the
-// same seeded deployment so the comparison stays paired.
-func Section7PowerCtx(ctx context.Context, r sim.Runner, seed int64) (*PowerResult, error) {
-	rows, err := sim.Map(ctx, r, len(powerConfigs()), func(ctx context.Context, i int) (PowerRow, error) {
+// each clock at 35 °C (calibrated at 25 °C). The oscillator configurations
+// fan across workers (<= 0 means runtime.NumCPU()), each measured in its
+// own copy of the same seeded deployment so the comparison stays paired.
+func Section7PowerCtx(ctx context.Context, seed int64, workers int) (*PowerResult, error) {
+	rows, err := sim.Map(ctx, simRunner(workers), len(powerConfigs()), func(ctx context.Context, i int) (PowerRow, error) {
 		return powerRow(ctx, seed, i, currentObserver())
 	})
 	if err != nil {

@@ -6,8 +6,6 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-
-	"witag/internal/sim"
 )
 
 // The determinism-under-parallelism contract (DESIGN.md §8): every
@@ -43,12 +41,12 @@ func assertIdentical(t *testing.T, serial, parallel interface{}, renderS, render
 func TestFigure5DeterministicAcrossWorkerCounts(t *testing.T) {
 	cfg := Figure5Config{Seed: 42, Runs: 2, Round: 120}
 	cfg.Workers = 1
-	serial, err := Figure5(cfg)
+	serial, err := Figure5Ctx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = manyWorkers()
-	parallel, err := Figure5(cfg)
+	parallel, err := Figure5Ctx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,12 +56,12 @@ func TestFigure5DeterministicAcrossWorkerCounts(t *testing.T) {
 func TestFigure6DeterministicAcrossWorkerCounts(t *testing.T) {
 	cfg := Figure6Config{Seed: 7, Runs: 8, Round: 60}
 	cfg.Workers = 1
-	serial, err := Figure6(LocationB, cfg)
+	serial, err := Figure6Ctx(context.Background(), LocationB, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = manyWorkers()
-	parallel, err := Figure6(LocationB, cfg)
+	parallel, err := Figure6Ctx(context.Background(), LocationB, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,17 +72,21 @@ func TestFigure6DeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestAblationsDeterministicAcrossWorkerCounts(t *testing.T) {
-	// One representative ablation: the runner fans its configurations.
+	// Every ablation in the table: the runner fans its configurations.
 	ctx := context.Background()
-	serial, err := AblationRobustRateCtx(ctx, sim.Runner{Workers: 1}, 15, 40)
-	if err != nil {
-		t.Fatal(err)
+	for _, a := range Ablations {
+		t.Run(a.Name, func(t *testing.T) {
+			serial, err := RunAblation(ctx, a.Name, 15, 160, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parallel, err := RunAblation(ctx, a.Name, 15, 160, manyWorkers())
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertIdentical(t, serial.Rows, parallel.Rows, serial.Render(), parallel.Render())
+		})
 	}
-	parallel, err := AblationRobustRateCtx(ctx, sim.Runner{Workers: manyWorkers()}, 15, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdentical(t, serial.Rows, parallel.Rows, serial.Render(), parallel.Render())
 }
 
 func TestFigure3DeterministicAcrossWorkerCounts(t *testing.T) {
@@ -111,12 +113,12 @@ func TestRobustnessDeterministicAcrossWorkerCounts(t *testing.T) {
 		LossBadPoints: []float64{0.6, 0.95},
 	}
 	cfg.Workers = 1
-	serial, err := Robustness(cfg)
+	serial, err := RobustnessCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = manyWorkers()
-	parallel, err := Robustness(cfg)
+	parallel, err := RobustnessCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,12 +140,12 @@ func TestAdaptiveCodingDeterministicAcrossWorkerCounts(t *testing.T) {
 		},
 	}
 	cfg.Workers = 1
-	serial, err := AdaptiveCoding(cfg)
+	serial, err := AdaptiveCodingCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = manyWorkers()
-	parallel, err := AdaptiveCoding(cfg)
+	parallel, err := AdaptiveCodingCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"witag/internal/sim"
 )
 
 // The experiment tests run each harness at reduced scale and assert the
@@ -57,7 +60,7 @@ func TestMeasureRunAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := MeasureRun(sys, env, 10, 3)
+	rs, err := sim.MeasureRun(context.Background(), sys, env, 10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +76,7 @@ func TestMeasureRunAccounting(t *testing.T) {
 }
 
 func TestFigure5ShapeSmall(t *testing.T) {
-	res, err := Figure5(Figure5Config{Seed: 42, Runs: 2, Round: 250})
+	res, err := Figure5Ctx(context.Background(), Figure5Config{Seed: 42, Runs: 2, Round: 250})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,19 +90,19 @@ func TestFigure5ShapeSmall(t *testing.T) {
 }
 
 func TestFigure5Validation(t *testing.T) {
-	if _, err := Figure5(Figure5Config{Runs: 0, Round: 1}); err == nil {
+	if _, err := Figure5Ctx(context.Background(), Figure5Config{Runs: 0, Round: 1}); err == nil {
 		t.Fatal("zero runs accepted")
 	}
 }
 
 func TestFigure6ShapeSmall(t *testing.T) {
 	cfg := Figure6Config{Seed: 7, Runs: 24, Round: 120}
-	a, err := Figure6(LocationA, cfg)
+	a, err := Figure6Ctx(context.Background(), LocationA, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Seed = 8
-	b, err := Figure6(LocationB, cfg)
+	b, err := Figure6Ctx(context.Background(), LocationB, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,16 +112,16 @@ func TestFigure6ShapeSmall(t *testing.T) {
 	if !strings.Contains(a.Render(), "location A") {
 		t.Fatal("render missing location")
 	}
-	if _, err := Figure6(LocationA, Figure6Config{Runs: 1, Round: 1}); err == nil {
+	if _, err := Figure6Ctx(context.Background(), LocationA, Figure6Config{Runs: 1, Round: 1}); err == nil {
 		t.Fatal("single run accepted")
 	}
-	if _, err := Figure6('Q', cfg); err == nil {
+	if _, err := Figure6Ctx(context.Background(), 'Q', cfg); err == nil {
 		t.Fatal("unknown location accepted")
 	}
 }
 
 func TestFigure3Shape(t *testing.T) {
-	res, err := Figure3(3)
+	res, err := Figure3Ctx(context.Background(), 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +134,7 @@ func TestFigure3Shape(t *testing.T) {
 }
 
 func TestSection41Shape(t *testing.T) {
-	res, err := Section41Sweep()
+	res, err := Section41SweepCtx(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +166,7 @@ func TestComparisonShape(t *testing.T) {
 }
 
 func TestSection7PowerShape(t *testing.T) {
-	res, err := Section7Power(5)
+	res, err := Section7PowerCtx(context.Background(), 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +180,7 @@ func TestSection7PowerShape(t *testing.T) {
 }
 
 func TestAblationSwitchMode(t *testing.T) {
-	res, err := AblationSwitchMode(11, 150)
+	res, err := RunAblation(context.Background(), "switch", 11, 300, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +193,7 @@ func TestAblationSwitchMode(t *testing.T) {
 }
 
 func TestAblationTriggerCount(t *testing.T) {
-	res, err := AblationTriggerCount(12, 80)
+	res, err := RunAblation(context.Background(), "trigger", 12, 320, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +209,8 @@ func TestAblationTriggerCount(t *testing.T) {
 }
 
 func TestAblationFEC(t *testing.T) {
-	res, err := AblationFEC(13, 4)
+	// FEC runs the table's fixed frame count, whatever the round count.
+	res, err := RunAblation(context.Background(), "fec", 13, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +220,7 @@ func TestAblationFEC(t *testing.T) {
 }
 
 func TestAblationAMPDUSize(t *testing.T) {
-	res, err := AblationAMPDUSize(14, 60)
+	res, err := RunAblation(context.Background(), "ampdu", 14, 240, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +230,7 @@ func TestAblationAMPDUSize(t *testing.T) {
 }
 
 func TestAblationRobustRate(t *testing.T) {
-	res, err := AblationRobustRate(15, 60)
+	res, err := RunAblation(context.Background(), "mcs", 15, 240, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +246,7 @@ func TestAblationRobustRate(t *testing.T) {
 }
 
 func TestAblationEncryption(t *testing.T) {
-	res, err := AblationEncryption(16, 60)
+	res, err := RunAblation(context.Background(), "crypto", 16, 240, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +262,7 @@ func TestAblationEncryption(t *testing.T) {
 func TestRobustnessSweepShape(t *testing.T) {
 	cfg := DefaultRobustnessConfig()
 	cfg.Transfers = 25 // reduced scale; witag-bench runs 100
-	res, err := Robustness(cfg)
+	res, err := RobustnessCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,17 +289,17 @@ func TestRobustnessSweepShape(t *testing.T) {
 func TestRobustnessConfigValidation(t *testing.T) {
 	cfg := DefaultRobustnessConfig()
 	cfg.PayloadBytes = 0
-	if _, err := Robustness(cfg); err == nil {
+	if _, err := RobustnessCtx(context.Background(), cfg); err == nil {
 		t.Fatal("zero payload accepted")
 	}
 	cfg = DefaultRobustnessConfig()
 	cfg.BaseProfile = "nonesuch"
-	if _, err := Robustness(cfg); err == nil {
+	if _, err := RobustnessCtx(context.Background(), cfg); err == nil {
 		t.Fatal("unknown profile accepted")
 	}
 	cfg = DefaultRobustnessConfig()
 	cfg.LossBadPoints = nil
-	if _, err := Robustness(cfg); err == nil {
+	if _, err := RobustnessCtx(context.Background(), cfg); err == nil {
 		t.Fatal("empty sweep accepted")
 	}
 }

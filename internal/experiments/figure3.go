@@ -33,14 +33,8 @@ type Figure3Result struct {
 	Points []Figure3Point
 }
 
-// Figure3 measures both switching designs at several positions in the LoS
-// testbed.
-func Figure3(seed int64) (*Figure3Result, error) {
-	return Figure3Ctx(context.Background(), seed, 0)
-}
-
-// Figure3Ctx is Figure3 with cancellation and an explicit worker count
-// (<= 0 means runtime.NumCPU()). The sweep has no Monte-Carlo loop — each
+// Figure3Ctx measures both switching designs at several positions in the
+// LoS testbed on workers (<= 0 means runtime.NumCPU()). The sweep has no Monte-Carlo loop — each
 // position is a single deterministic channel evaluation — so the runner
 // fans the positions themselves.
 func Figure3Ctx(ctx context.Context, seed int64, workers int) (*Figure3Result, error) {

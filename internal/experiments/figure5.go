@@ -24,11 +24,6 @@ type Figure5Config struct {
 	Workers int // concurrent trial workers; <= 0 means runtime.NumCPU()
 }
 
-// DefaultFigure5Config mirrors the paper at simulation-friendly scale.
-func DefaultFigure5Config() Figure5Config {
-	return Figure5Config{Seed: 42, Runs: 4, Round: 700}
-}
-
 // Figure5Point is one distance's measurement.
 type Figure5Point struct {
 	DistanceM      float64
@@ -47,12 +42,7 @@ type Figure5Result struct {
 	Runs        int     // measurement repetitions behind every point
 }
 
-// Figure5 runs the sweep on the shared trial runner.
-func Figure5(cfg Figure5Config) (*Figure5Result, error) {
-	return Figure5Ctx(context.Background(), cfg)
-}
-
-// Figure5Ctx is Figure5 with cancellation.
+// Figure5Ctx runs the sweep on the shared trial runner.
 func Figure5Ctx(ctx context.Context, cfg Figure5Config) (*Figure5Result, error) {
 	if cfg.Runs < 1 || cfg.Round < 1 {
 		return nil, fmt.Errorf("experiments: need ≥1 run and ≥1 round, got %d×%d", cfg.Runs, cfg.Round)

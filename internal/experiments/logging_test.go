@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"log/slog"
 	"reflect"
@@ -37,7 +38,7 @@ func loggedRobustness(t *testing.T, workers int) (*RobustnessResult, []map[strin
 	defer SetObserver(SetObserver(camp.Observer))
 	defer SetCampaign(SetCampaign(camp))
 
-	res, err := Robustness(obsRobustnessConfig(workers))
+	res, err := RobustnessCtx(context.Background(), obsRobustnessConfig(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestLoggingDoesNotPerturbResults(t *testing.T) {
 	// Bare run: no observer, no campaign, no logger.
 	defer SetObserver(SetObserver(nil))
 	defer SetCampaign(SetCampaign(nil))
-	bare, err := Robustness(obsRobustnessConfig(manyWorkers()))
+	bare, err := RobustnessCtx(context.Background(), obsRobustnessConfig(manyWorkers()))
 	if err != nil {
 		t.Fatal(err)
 	}

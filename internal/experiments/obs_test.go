@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"reflect"
 	"testing"
 
 	"witag/internal/obs"
+	"witag/internal/sim"
 )
 
 // The observability layer rides the same determinism contract as the
@@ -36,7 +38,7 @@ func robustnessSnapshot(t *testing.T, workers int) obs.Snapshot {
 	t.Helper()
 	reg := obs.NewRegistry()
 	defer SetObserver(SetObserver(obs.NewObserver(reg, nil)))
-	if _, err := Robustness(obsRobustnessConfig(workers)); err != nil {
+	if _, err := RobustnessCtx(context.Background(), obsRobustnessConfig(workers)); err != nil {
 		t.Fatal(err)
 	}
 	return reg.Snapshot()
@@ -86,7 +88,7 @@ func TestInstrumentationDoesNotPerturbResults(t *testing.T) {
 
 	defer SetObserver(SetObserver(nil))
 	defer SetCampaign(SetCampaign(nil))
-	bare, err := Robustness(cfg)
+	bare, err := RobustnessCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +101,7 @@ func TestInstrumentationDoesNotPerturbResults(t *testing.T) {
 	})
 	SetObserver(camp.Observer)
 	SetCampaign(camp)
-	instrumented, err := Robustness(cfg)
+	instrumented, err := RobustnessCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +126,7 @@ func TestTraceRoundEventCountMatchesRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MeasureRun(sys, env, rounds, 456); err != nil {
+	if _, err := sim.MeasureRun(context.Background(), sys, env, rounds, 456); err != nil {
 		t.Fatal(err)
 	}
 

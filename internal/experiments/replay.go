@@ -39,8 +39,10 @@ type ReplayRequest struct {
 	// Seed is the campaign's root seed (the -seed the original run used).
 	Seed int64
 	// Rounds is the per-trial round count for round-driven experiments
-	// (fig5/fig6/ablations; the frame count for ablation/fec). Derivable
-	// from the trace: the number of "round" events the trial emitted.
+	// (fig5/fig6/ablations), derivable from the trace: the number of
+	// "round" events the trial emitted. The FEC ablation is the
+	// exception: it runs a fixed frame count from the ablation table, each
+	// frame over several rounds, and ignores Rounds.
 	Rounds int
 	// PayloadBytes and FaultProfile mirror the robustness campaign's
 	// configuration; ignored by other experiments.
@@ -74,7 +76,7 @@ func ReplayTrial(ctx context.Context, req ReplayRequest) (string, error) {
 	case "compare":
 		return "", fmt.Errorf("experiments: compare measures a single rate, not per-trial rounds — re-run `witag-bench -experiment compare` instead")
 	case "sim":
-		return "", fmt.Errorf("experiments: witag-sim traces depend on CLI flags (-dist, -fault) the trace does not carry — re-run witag-sim with the original flags and seed")
+		return "", fmt.Errorf("experiments: witag-sim traces depend on deployment flags (-ap, -tag, -walls, -cipher, -fault, -traffic) the trace does not carry — re-run witag-sim with the original flags and seed")
 	default:
 		return "", fmt.Errorf("experiments: unrecognised label path %q (want fig5/…, fig6/…, robust/…, power/…, ablation/…)", req.Labels)
 	}
@@ -247,36 +249,24 @@ func replayAblation(ctx context.Context, req ReplayRequest, toks []string) (stri
 	if len(toks) != 3 {
 		return "", fmt.Errorf("experiments: ablation labels are ablation/<name>/cfg=…, got %q", req.Labels)
 	}
-	name := toks[1]
+	a, err := ablationByName(toks[1])
+	if err != nil {
+		return "", err
+	}
 	i, err := labelInt(toks[2], "cfg")
 	if err != nil {
 		return "", err
 	}
-	if n, err := ablationRowCount(name); err != nil {
-		return "", err
-	} else if i < 0 || i >= n {
-		return "", fmt.Errorf("experiments: ablation %s config %d outside [0,%d)", name, i, n)
+	n := a.frames
+	if n == 0 {
+		n = req.Rounds
 	}
-	if req.Rounds < 1 {
-		return "", fmt.Errorf("experiments: ablation replay needs the campaign's round count (frame count for fec)")
+	if n < 1 {
+		return "", fmt.Errorf("experiments: ablation replay needs the per-trial round count")
 	}
-	var row AblationRow
-	switch name {
-	case "switch":
-		row, err = ablationSwitchRow(ctx, req.Seed, req.Rounds, i, req.Obs)
-	case "trigger":
-		row, err = ablationTriggerRow(ctx, req.Seed, req.Rounds, i, req.Obs)
-	case "fec":
-		row, err = ablationFECRow(ctx, req.Seed, req.Rounds, i, req.Obs)
-	case "ampdu":
-		row, err = ablationAMPDURow(ctx, req.Seed, req.Rounds, i, req.Obs)
-	case "mcs":
-		row, err = ablationMCSRow(ctx, req.Seed, req.Rounds, i, req.Obs)
-	case "crypto":
-		row, err = ablationCryptoRow(ctx, req.Seed, req.Rounds, i, req.Obs)
-	}
+	row, err := a.row(ctx, req.Seed, n, i, req.Obs)
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("ablation %s cfg=%d (%s): BER=%.4f %s", name, i, row.Label, row.BER, row.Note), nil
+	return fmt.Sprintf("ablation %s cfg=%d (%s): BER=%.4f %s", a.Name, i, row.Label, row.BER, row.Note), nil
 }

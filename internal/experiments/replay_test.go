@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -67,7 +68,7 @@ func TestFigure5ReplayDeterministicAcrossWorkerCounts(t *testing.T) {
 		c := cfg
 		c.Workers = workers
 		return campaignTrace(t, func() error {
-			_, err := Figure5(c)
+			_, err := Figure5Ctx(context.Background(), c)
 			return err
 		})
 	}
@@ -156,7 +157,7 @@ func TestRobustnessReplayDeterministicAcrossWorkerCounts(t *testing.T) {
 		c := cfg
 		c.Workers = workers
 		return campaignTrace(t, func() error {
-			_, err := Robustness(c)
+			_, err := RobustnessCtx(context.Background(), c)
 			return err
 		})
 	}
@@ -203,5 +204,55 @@ func TestRobustnessReplayDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 	if serialSnap.Counters["link.transfers_started"] == 0 {
 		t.Fatal("campaign started no transfers — vacuous comparison")
+	}
+}
+
+func TestAblationReplayDeterministicAcrossWorkerCounts(t *testing.T) {
+	// Every ablation configuration, plus two §7 power configurations,
+	// recorded on a many-worker pool and replayed one at a time with the
+	// request witag-trace builds by default: Rounds is the trial's
+	// round-event count, which the FEC ablation must not read as frames.
+	const seed, rounds = 42, 80
+	ctx := context.Background()
+	events, _ := campaignTrace(t, func() error {
+		for _, a := range Ablations {
+			if _, err := RunAblation(ctx, a.Name, seed, rounds, manyWorkers()); err != nil {
+				return err
+			}
+		}
+		_, err := Section7PowerCtx(ctx, seed, manyWorkers())
+		return err
+	})
+
+	labels := []string{"power/cfg=0", "power/cfg=3"}
+	for _, a := range Ablations {
+		for i := range a.cfgs {
+			labels = append(labels, fmt.Sprintf("ablation/%s/cfg=%d", a.Name, i))
+		}
+	}
+	for _, l := range labels {
+		// Trial IDs repeat across ablations, so the label path picks the
+		// slice, as witag-trace's -labels does.
+		var orig []obs.Event
+		n := 0
+		for _, e := range events {
+			if e.Labels == l && e.Kind != "trial" {
+				orig = append(orig, e)
+				if e.Kind == "round" {
+					n++
+				}
+			}
+		}
+		if n == 0 {
+			t.Fatalf("%s: the campaign recorded no rounds", l)
+		}
+		rec := obs.NewRecorder(1 << 14)
+		if _, err := ReplayTrial(ctx, ReplayRequest{
+			Labels: l, Trial: orig[0].Trial, Seed: seed, Rounds: n,
+			Obs: obs.NewObserver(obs.NewRegistry(), rec),
+		}); err != nil {
+			t.Fatalf("replay %s: %v", l, err)
+		}
+		assertEventsByteIdentical(t, "replay "+l, orig, trialSlice(rec.Events(), orig[0].Trial))
 	}
 }

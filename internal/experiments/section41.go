@@ -32,14 +32,9 @@ type Section41Result struct {
 	Rows []Section41Row
 }
 
-// Section41Sweep computes the tag rate for single-stream HT MCS 0–7,
-// aggregate sizes 8–64, and 1–4-tick subframes.
-func Section41Sweep() (*Section41Result, error) {
-	return Section41SweepCtx(context.Background(), 0)
-}
-
-// Section41SweepCtx is Section41Sweep with cancellation and an explicit
-// worker count (<= 0 means runtime.NumCPU()). The sweep is pure airtime
+// Section41SweepCtx computes the tag rate for single-stream HT MCS 0–7,
+// aggregate sizes 8–64, and 1–4-tick subframes on workers (<= 0 means
+// runtime.NumCPU()). The sweep is pure airtime
 // arithmetic — no Monte Carlo — so the runner fans the MCS rows.
 func Section41SweepCtx(ctx context.Context, workers int) (*Section41Result, error) {
 	src := dot11.MACAddr{2, 0, 0, 0, 0, 1}

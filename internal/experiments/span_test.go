@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -27,7 +28,7 @@ func robustnessWithSpans(t *testing.T, workers int, spans bool) (*RobustnessResu
 		o.Spans = nil // instruments registered but never observed
 	}
 	defer SetObserver(SetObserver(o))
-	res, err := Robustness(obsRobustnessConfig(workers))
+	res, err := RobustnessCtx(context.Background(), obsRobustnessConfig(workers))
 	if err != nil {
 		t.Fatal(err)
 	}

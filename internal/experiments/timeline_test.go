@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -26,7 +27,7 @@ func timedRobustness(t *testing.T, workers int) (*RobustnessResult, string) {
 	defer SetObserver(SetObserver(camp.Observer))
 	defer SetCampaign(SetCampaign(camp))
 
-	res, err := Robustness(obsRobustnessConfig(workers))
+	res, err := RobustnessCtx(context.Background(), obsRobustnessConfig(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func timedRobustness(t *testing.T, workers int) (*RobustnessResult, string) {
 func TestTimelineDoesNotPerturbResults(t *testing.T) {
 	defer SetObserver(SetObserver(nil))
 	defer SetCampaign(SetCampaign(nil))
-	bare, err := Robustness(obsRobustnessConfig(manyWorkers()))
+	bare, err := RobustnessCtx(context.Background(), obsRobustnessConfig(manyWorkers()))
 	if err != nil {
 		t.Fatal(err)
 	}
